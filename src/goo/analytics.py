@@ -15,6 +15,7 @@ the member set once and reports the observed count against both models.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Iterable, Optional
 
@@ -25,6 +26,9 @@ EULER_GAMMA = 0.5772156649015329
 # Truncated Euler product over odd primes, carried to more digits than the
 # table rendering needs; compute_cq re-derives it for validation.
 DEFAULT_HL_CONSTANT = 1.3728134628182
+
+CHUNK = 1 << 15  # stream values counted per numpy pass
+INT64_MAX = (1 << 63) - 1
 
 
 class DomainError(ValueError):
@@ -145,30 +149,31 @@ def count_table(
             f"largest point needs them through {thresholds[-1]}"
         )
 
-    counts = []
-    k = 0
-    n = 0
+    # thresholds past int64 are past every stream value, so clip them
+    cuts = np.array([min(t, INT64_MAX) for t in thresholds], np.int64)
+    counts = np.zeros(cuts.size, np.int64)
     prev = 0
-    for a in a_stream:
-        a = int(a)
-        if a <= prev:
-            raise ValueError(f"member stream must strictly ascend, got {a} after {prev}")
-        prev = a
-        while k < len(thresholds) and a > thresholds[k]:
-            counts.append(n)
-            k += 1
-        if k == len(thresholds):
+    it = iter(a_stream)
+    while True:
+        chunk = np.fromiter(islice(it, CHUNK), np.int64)
+        if not chunk.size:
             break
-        n += 1
-    while k < len(thresholds):
-        if covered_to is None or covered_to > thresholds[k]:
-            counts.append(n)
-            k += 1
-        else:  # pragma: no cover - guarded above, kept for safety
-            raise StreamTooShortError(
-                f"stream ended at {prev}, point {pts[k]} needs coverage "
-                f"through {thresholds[k]}"
+        # values after the first one past the last threshold are never
+        # looked at, so neither is their order
+        past = np.flatnonzero(chunk > cuts[-1])
+        seen = chunk[: past[0] + 1] if past.size else chunk
+        before = np.concatenate(([prev], seen[:-1]))
+        bad = np.flatnonzero(seen <= before)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"member stream must strictly ascend, got {seen[i]} after {before[i]}"
             )
+        counts += np.searchsorted(seen, cuts, side="right")
+        if past.size:
+            break
+        prev = seen[-1]
+    counts = counts.tolist()
 
     return [
         CountTableRow(

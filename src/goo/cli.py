@@ -8,6 +8,7 @@ stderr. Exit codes: 0 success, 2 verified counterexample, 64 usage,
 import argparse
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import analytics, goldbach, hypotheses, oracle, sieve, store
@@ -21,6 +22,7 @@ EX_INTERRUPT = 130
 
 DATA_DIR_ENV = "GOO_DATA_DIR"
 DESK_LIMIT = 10**18
+MAX_DIGITS = 100  # no argument needs more; bounds the int a short "1e..." builds
 
 
 class UsageError(Exception):
@@ -33,17 +35,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_number(text: str) -> int:
-    """Integer, allowing scientific notation like 1e12 or 6.25e8."""
+    """Exact integer, allowing scientific notation like 1e12 or 6.25e8."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
+        value = Decimal(text)
+    except InvalidOperation:
         raise UsageError(f"not a number: {text!r}") from None
-    if value != int(value):
+    if not value.is_finite() or value != value.to_integral_value():
         raise UsageError(f"not an integer: {text!r}")
+    if value.adjusted() >= MAX_DIGITS:
+        raise UsageError(f"more than {MAX_DIGITS} digits: {text!r}")
     return int(value)
 
 
@@ -71,8 +71,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check the decomposition property")
     p.add_argument("--data", default=None)
     p.add_argument("--champions", default=None, help="write champion CSV here")
-    p.add_argument("--window", default=str(1 << 16))
-    p.add_argument("--bitset-bound", default=str(1 << 31))
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("count", help="counts against both density models")
@@ -136,16 +134,9 @@ def _cmd_verify(args) -> int:
     st = store.SegmentStore.open(_data_dir(args.data))
     if not st.manifest.complete:
         raise store.ManifestError("run is incomplete; finish it with sieve --resume")
-    config = goldbach.VerifierConfig(
-        window_len=_parse_number(args.window),
-        member_bound=_parse_number(args.bitset_bound),
-    )
     try:
         report = goldbach.verify_stream(
-            st.read_a_stream(),
-            config=config,
-            store=st,
-            progress=_progress_writer(args.quiet),
+            st.read_a_stream(), progress=_progress_writer(args.quiet)
         )
     except goldbach.CounterexampleFound as e:
         print(f"counterexample member {e.n} value {e.a_n}")

@@ -1,26 +1,45 @@
-"""Streaming verifier for the additive decomposition property of A.
+"""Batch verifier for the additive decomposition property of A.
 
 For each member a_n (n >= 2) find the least back-offset j such that
 a_n - a_{n-j} is itself a member. The conjecture under test says such a j
 always exists; a member with no decomposition at all is a counterexample
 and is reported loudly, never papered over.
 
-The verifier is windowed: recent members sit in a deque, membership of
-small differences comes from a bitset, and differences beyond the bitset
-fall back to the segment store. Observed j values are tiny in practice
-(the record below 10^16 is 52), so the window almost never matters; it
-exists so memory stays flat on arbitrarily long streams.
+The stream is read in chunks of ``CHUNK`` values. Membership lives in a
+packed bitset over even values (bit i stands for 2i, and bit 0 for the
+member 1; an odd x > 1 is never a member, since x^2 + 1 is even). It spans
+every value below ``VALUE_LIMIT``, but only the pages holding set bits
+become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5 MB at
+10^18. A chunk's bits are set first, then its members are resolved offset
+by offset: for k = 1, 2, ... every member still unresolved tests
+a_n - a_{n-k} against the bitset at once. Every difference is below its
+own a_n, so the chunk's later members cannot answer for earlier ones. The
+last ``TAIL`` members carry over to the next chunk; a member whose j lies
+beyond them walks the bitset downward, which is the whole member set, so
+no store is read. Observed j values are small (the record below 10^16 is
+52).
+
+``VerifierState`` and ``j_of`` are the scalar form of the same rule, one
+member at a time, kept as the reference the batch path is tested against.
 """
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .analytics import DEFAULT_HL_CONSTANT
-from .store import KIND_A, SegmentStore
+from .sieve import MAX_BOUND
+from .store import SegmentStore, x_limit
+
+CHUNK = 1 << 15  # stream values resolved per numpy pass
+TAIL = 256  # members carried across chunks; larger j walks the bitset
+# No value stored for a supported bound reaches this, and the bitset covers
+# exactly the values below it, so anything larger is refused, never indexed.
+VALUE_LIMIT = x_limit(MAX_BOUND)
 
 
 class CounterexampleFound(Exception):
@@ -32,22 +51,6 @@ class CounterexampleFound(Exception):
         super().__init__(
             f"member #{n} = {a_n} has no i < n with a_n - a_i in the set"
         )
-
-
-class WindowExhaustedError(RuntimeError):
-    """The in-memory window ran out and no store was attached."""
-
-
-@dataclass(frozen=True)
-class VerifierConfig:
-    window_len: int = 1 << 16
-    member_bound: int = 1 << 31  # differences up to here answered by bitset
-
-    def __post_init__(self):
-        if self.window_len < 2:
-            raise ValueError("window_len must be at least 2")
-        if self.member_bound < 4 or self.member_bound % 2:
-            raise ValueError("member_bound must be even and at least 4")
 
 
 class ChampionRecord(tuple):
@@ -63,67 +66,60 @@ class ChampionRecord(tuple):
     j = property(lambda self: self[2])
 
 
-class VerifierState:
-    """Incremental membership structures over the prefix seen so far."""
+def _check_next(a: int, last: int) -> None:
+    """Refuse a value that does not ascend or that no supported run holds."""
+    if a <= last:
+        raise ValueError(f"stream must strictly ascend, got {a} after {last}")
+    if a >= VALUE_LIMIT:
+        raise ValueError(
+            f"value {a} is not below {VALUE_LIMIT}, the x limit of the "
+            f"largest supported bound {MAX_BOUND:.0e}"
+        )
 
-    def __init__(
-        self,
-        config: Optional[VerifierConfig] = None,
-        store: Optional[SegmentStore] = None,
-    ):
-        self.config = config or VerifierConfig()
-        self.store = store
-        self.window: deque = deque(maxlen=self.config.window_len)
+
+def _is_member(bits, d: int) -> bool:
+    """Is d >= 1 set in the bitset (bit i: member 2i; bit 0: member 1)?"""
+    if d & 1 and d != 1:
+        return False
+    i = d >> 1
+    return (i >> 3) < len(bits) and bool(bits[i >> 3] >> (i & 7) & 1)
+
+
+def _members_below(bits, below: int) -> Iterator[int]:
+    """The members set in the bitset under ``below``, descending."""
+    for i in range((below - 1) >> 1, 0, -1):
+        if bits[i >> 3] >> (i & 7) & 1:
+            yield 2 * i
+    if below > 1 and bits[0] & 1:
+        yield 1
+
+
+class VerifierState:
+    """Scalar reference: the members pushed so far, as a bitset.
+
+    One member at a time, with the bitset layout and the member rule of
+    ``verify_stream``; ``j_of`` walks the bitset downward, so there is no
+    window and no store.
+    """
+
+    def __init__(self):
         self.count = 0
         self.last = 0
-        self.has_one = False
-        self.has_two = False
-        self._bits = bytearray()
+        self.bits = bytearray()
         self.max_j = 1  # start above the vacuous j=1 so it never "wins"
         self.champions: list = []
         self.j_histogram: Counter = Counter()
 
     def push(self, a: int) -> None:
-        if a <= self.last:
-            raise ValueError(f"stream must strictly ascend, got {a} after {self.last}")
+        _check_next(a, self.last)
         self.last = a
         self.count += 1
-        self.window.append(a)
-        if a == 1:
-            self.has_one = True
-        elif a == 2:
-            self.has_two = True
-        elif a <= self.config.member_bound:
+        need = (a >> 4) + 1
+        if need > len(self.bits):
+            self.bits.extend(bytes(need - len(self.bits)))
+        if a == 1 or not a & 1:
             i = a >> 1
-            byte = i >> 3
-            if byte >= len(self._bits):
-                want = max(1024, 2 * len(self._bits))
-                while want <= byte:
-                    want *= 2
-                want = min(want, (self.config.member_bound >> 4) + 1)
-                self._bits.extend(bytes(want - len(self._bits)))
-            self._bits[byte] |= 1 << (i & 7)
-
-    def is_member(self, d: int) -> bool:
-        """Is d among the members pushed so far? Valid for 1 <= d < last."""
-        if d == 1:
-            return self.has_one
-        if d == 2:
-            return self.has_two
-        if d & 1:
-            return False  # odd members beyond 1 would need d^2+1 even
-        if d <= self.config.member_bound:
-            i = d >> 1
-            byte = i >> 3
-            return byte < len(self._bits) and bool(
-                self._bits[byte] & (1 << (i & 7))
-            )
-        if self.store is not None:
-            return self.store.lookup_a(d)
-        raise WindowExhaustedError(
-            f"difference {d} exceeds member_bound "
-            f"{self.config.member_bound} and no store is attached"
-        )
+            self.bits[i >> 3] |= 1 << (i & 7)
 
     def record(self, a: int, j: int) -> None:
         n = self.count + 1  # index this member will have once pushed
@@ -136,39 +132,91 @@ class VerifierState:
 def j_of(state: VerifierState, value: int) -> int:
     """Least j >= 1 with value - (j-th most recent member) a member.
 
-    Scans the window newest-first, then walks older segments from the
-    attached store. Exhausting the entire prefix raises
-    CounterexampleFound; exhausting just the window with no store raises
-    WindowExhaustedError.
+    ``value`` is the next member, not yet pushed. Raises
+    CounterexampleFound when no earlier member decomposes it.
     """
-    w = state.window
-    m = len(w)
-    for i in range(1, m + 1):
-        if state.is_member(value - w[m - i]):
-            return i
-    if m == state.count:  # window still holds the whole prefix
-        raise CounterexampleFound(state.count + 1, value)
-    if state.store is None:
-        raise WindowExhaustedError(
-            f"window of {m} exhausted at member {value} with no store attached"
-        )
-    i = m
-    for older in _descend_below(state.store, w[0]):
-        i += 1
-        if state.is_member(value - older):
-            return i
+    _check_next(value, state.last)
+    for j, m in enumerate(_members_below(state.bits, state.last + 1), start=1):
+        if _is_member(state.bits, value - m):
+            return j
     raise CounterexampleFound(state.count + 1, value)
 
 
-def _descend_below(store: SegmentStore, below: int) -> Iterator[int]:
-    """Stored members < below, descending."""
-    for entry in reversed(store.manifest.entries_of(KIND_A)):
-        if entry.lo >= below:
-            continue
-        values = store.entry_values(entry)
-        cut = int(np.searchsorted(values, below))
-        for v in values[:cut][::-1].tolist():
-            yield v
+def _members_of(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_is_member`` over an array of differences, each below 16 * bits.size."""
+    i = d >> 1
+    found = (bits[i >> 3] >> (i & 7)) & 1 == 1
+    return found & (((d & 1) == 0) | (d == 1))
+
+
+def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
+    """(values, j) per chunk of the stream, from its second member on.
+
+    j[i] is the least offset of values[i], or 0 where no earlier member
+    decomposes it. A value that does not ascend or is out of range raises
+    ValueError, after the chunk's values before it have been yielded, so
+    the consumer sees every error in stream order.
+    """
+    it = iter(values)
+    # One zeroed allocation for every value below VALUE_LIMIT: 62.5 MB of
+    # address space, of which only the pages holding set bits, about
+    # last / 16 bytes, ever become resident. It never grows, so it is never
+    # copied and leaves no freed blocks behind in the heap.
+    bits = np.zeros((VALUE_LIMIT >> 4) + 1, np.uint8)
+    tail = np.zeros(0, np.int64)
+    last = 0
+    while True:
+        try:
+            chunk = np.fromiter(islice(it, CHUNK), np.int64)
+        except OverflowError:
+            raise ValueError(f"stream values must be below {VALUE_LIMIT}") from None
+        if not chunk.size:
+            if not last:
+                raise ValueError("empty stream")
+            return
+        if not last and chunk[0] != 1:
+            raise ValueError(f"stream must start at the first member 1, got {chunk[0]}")
+        before = np.concatenate(([last], chunk[:-1]))
+        bad = np.flatnonzero((chunk <= before) | (chunk >= VALUE_LIMIT))
+        stop = int(bad[0]) if bad.size else chunk.size
+        vals = chunk[:stop]
+        if vals.size:
+            is_mem = ((vals & 1) == 0) | (vals == 1)
+            i = vals[is_mem] >> 1
+            np.bitwise_or.at(bits, i >> 3, (1 << (i & 7)).astype(np.uint8))
+
+            # known: the carried tail, then this chunk's members;
+            # pos[i]: how many of them lie below vals[i]
+            known = np.concatenate((tail, vals[is_mem]))
+            pos = tail.size + np.cumsum(is_mem) - is_mem
+            first = 0 if last else 1  # member #1 has no offset
+            j = np.zeros(vals.size, np.int64)
+            todo = np.arange(first, vals.size)
+            walk = []
+            k = 1
+            while todo.size:
+                p = pos[todo]
+                gone = int(np.searchsorted(p, k))  # p ascends with todo
+                if gone:
+                    walk.extend(todo[:gone].tolist())
+                    todo, p = todo[gone:], p[gone:]
+                hit = _members_of(bits, vals[todo] - known[p - k])
+                j[todo[hit]] = k
+                todo = todo[~hit]
+                k += 1
+            oldest = int(known[0])
+            for w in walk:
+                a = int(vals[w])
+                for off, m in enumerate(_members_below(bits, oldest), start=int(pos[w]) + 1):
+                    if _is_member(bits, a - m):
+                        j[w] = off
+                        break
+            tail = known[-TAIL:].copy()
+            last = int(vals[-1])
+            if vals.size > first:
+                yield vals[first:], j[first:]
+        if bad.size:
+            _check_next(int(chunk[stop]), int(before[stop]))
 
 
 @dataclass
@@ -194,7 +242,6 @@ class VerificationReport:
 def verify_stream(
     values: Iterable[int],
     *,
-    config: Optional[VerifierConfig] = None,
     store: Optional[SegmentStore] = None,
     progress=None,
     progress_every: int = 1_000_000,
@@ -203,29 +250,40 @@ def verify_stream(
 
     The stream must start at 1 and contain every member up to its end;
     the decomposition search is only meaningful against the full prefix.
-    Raises CounterexampleFound if some member has no decomposition.
+    Raises CounterexampleFound if some member has no decomposition, and
+    ValueError for an empty stream, a first value other than 1, or a value
+    that does not ascend or reaches ``VALUE_LIMIT``; whichever comes first
+    in the stream wins, except that a value beyond int64 fails the whole
+    chunk that holds it. ``store`` is accepted and not read: the bitset
+    holds every member the search can need.
     """
-    state = VerifierState(config, store)
-    it = iter(values)
-    first = next(it, None)
-    if first is None:
-        raise ValueError("empty stream")
-    if first != 1:
-        raise ValueError(f"stream must start at the first member 1, got {first}")
-    state.push(1)
-    for a in it:
-        j = j_of(state, a)
-        state.record(a, j)
-        state.push(a)
-        if progress is not None and state.count % progress_every == 0:
-            progress(f"verified through member #{state.count} = {a}")
-    hist = dict(sorted(state.j_histogram.items()))
+    count = last = max_j = 1
+    champions: list = []
+    hist: Counter = Counter()
+    for vals, j in _offset_chunks(values):
+        missing = np.flatnonzero(j == 0)
+        done = int(missing[0]) if missing.size else j.size
+        if progress is not None:
+            step = progress_every
+            for n in range(count - count % step + step, count + done + 1, step):
+                progress(f"verified through member #{n} = {vals[n - count - 1]}")
+        if missing.size:
+            raise CounterexampleFound(count + done + 1, int(vals[done]))
+        record = np.maximum.accumulate(np.concatenate(([max_j], j)))
+        for i in np.flatnonzero(j > record[:-1]).tolist():
+            champions.append(ChampionRecord(count + i + 1, int(vals[i]), int(j[i])))
+        max_j = int(record[-1])
+        offsets, tally = np.unique(j, return_counts=True)
+        hist.update(dict(zip(offsets.tolist(), tally.tolist())))
+        count += j.size
+        last = int(vals[-1])
+    hist = dict(sorted(hist.items()))
     return VerificationReport(
-        members=state.count,
-        verified=max(0, state.count - 1),
-        last_member=state.last,
+        members=count,
+        verified=count - 1,
+        last_member=last,
         max_j=max(hist) if hist else 0,
-        champions=list(state.champions),
+        champions=champions,
         j_histogram=hist,
     )
 

@@ -229,8 +229,8 @@ def sieve_a_segment(
     base = seg_lo + (seg_lo & 1)  # first even candidate
     n_idx = max(0, (seg_hi - base + 1) // 2)
     mask = np.ones(n_idx, dtype=bool)
-    local = stats if stats is not None else SieveStats()
-    local.candidates += n_idx + (1 if seg_lo == 1 else 0)
+    if stats is not None:
+        stats.candidates += n_idx + (1 if seg_lo == 1 else 0)
 
     covered = 1
     for block in prime_root_blocks:
@@ -240,7 +240,7 @@ def sieve_a_segment(
             )
         covered = block.hi
         if n_idx:
-            _strike_block(mask, base, n_idx, block, seg_hi, local)
+            _strike_block(mask, base, n_idx, block, seg_hi, stats)
         if covered >= seg_hi:
             break
     if covered < seg_hi:
@@ -251,7 +251,8 @@ def sieve_a_segment(
     values = base + 2 * np.flatnonzero(mask).astype(np.int64)
     if seg_lo == 1:
         values = np.concatenate(([1], values))
-    local.survivors += values.size
+    if stats is not None:
+        stats.survivors += values.size
     return ASegment(lo=seg_lo, hi=seg_hi, values=values)
 
 
@@ -261,7 +262,7 @@ def _strike_block(
     n_idx: int,
     block: PrimeRootBlock,
     seg_hi: int,
-    stats: SieveStats,
+    stats: Optional[SieveStats],
 ) -> None:
     keep = block.p < seg_hi
     p = block.p[keep]
@@ -289,7 +290,8 @@ def _strike_block(
     live = idx < n_idx
     idx = idx[live]
     step = pp[live]
-    stats.strikes += int(np.sum((n_idx - idx + step - 1) // step))
+    if stats is not None:
+        stats.strikes += int(np.sum((n_idx - idx + step - 1) // step))
 
     multi = idx + step < n_idx
     mask[idx[~multi]] = False

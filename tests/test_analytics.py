@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from goo import analytics
 from goo.analytics import (
     DEFAULT_HL_CONSTANT,
     EULER_GAMMA,
@@ -116,6 +117,17 @@ def test_count_table_stops_reading_once_done():
     rows = count_table(itertools.count(1), [10, 100])
     assert [r.pi_q for r in rows] == [3, 9]
 
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 19])
+def test_count_table_across_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(analytics, "CHUNK", chunk)
+    rows = count_table(A_BELOW_100, [10, 100, 1000, 10**4])
+    assert [r.pi_q for r in rows] == [2, 4, 10, 19]
+    # order is checked up to the first value past the last threshold
+    assert count_table([1, 2, 4, 3], [10])[0].pi_q == 2
+    with pytest.raises(ValueError, match="got 3 after 4"):
+        count_table([1, 2, 4, 3, 20], [100])
 
 def test_count_table_coverage_guard():
     with pytest.raises(StreamTooShortError):

@@ -50,6 +50,19 @@ def test_sieve_bad_limit(tmp_path):
     assert cli.main(["sieve", "--limit", "99", "--out", str(tmp_path)]) == 64
 
 
+
+def test_numbers_parse_exactly(capsys):
+    assert cli._parse_number("6.25e8") == 625_000_000
+    # through a float this would be 123456789012345664, an even number
+    assert cli._parse_number("12345678901234567e1") == 123456789012345670
+    assert cli.main(["oracle", "prime", "123456789012345671e0"]) == 0
+    assert capsys.readouterr().out.strip() == "prime"
+    # non-integers that a float would round to an integer
+    assert cli.main(["oracle", "a", "--limit", "100.000000000000001"]) == 64
+    for text in ("nan", "inf", "1e999999999"):
+        assert cli.main(["oracle", "prime", text]) == 64
+    capsys.readouterr()
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -74,13 +87,6 @@ def test_verify_missing_data_dir(tmp_path):
 def test_verify_incomplete_run(tmp_path):
     store.SegmentStore.create(tmp_path / "d", 10**4, 1024)
     assert cli.main(["verify", "--data", str(tmp_path / "d")]) == 65
-
-
-def test_verify_honors_window_flags(run_1e6, capsys):
-    code = cli.main(["verify", "--data", str(run_1e6), "--quiet",
-                     "--window", "4", "--bitset-bound", "1024"])
-    assert code == 0
-    assert "largest offset j:  7" in capsys.readouterr().out
 
 
 # -- count --------------------------------------------------------------------

@@ -1,30 +1,21 @@
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goo import oracle
+from goo import goldbach, oracle
 from goo.goldbach import (
     ChampionRecord,
     CounterexampleFound,
-    VerifierConfig,
     VerifierState,
-    WindowExhaustedError,
     champion_table,
     format_champion_table,
     j_of,
     verify_stream,
     write_champions_csv,
 )
-
-
-def test_config_validation():
-    VerifierConfig()
-    with pytest.raises(ValueError):
-        VerifierConfig(window_len=1)
-    with pytest.raises(ValueError):
-        VerifierConfig(member_bound=3)
-    with pytest.raises(ValueError):
-        VerifierConfig(member_bound=7)
 
 
 def test_champion_record_behaves_like_tuple():
@@ -55,30 +46,81 @@ def test_j_of_matches_brute_force():
         state.push(a)
 
 
-def test_tiny_window_falls_back_to_store(small_store):
-    values = list(small_store.read_a_stream())
-    default = verify_stream(values)
-    tiny = verify_stream(
-        values, config=VerifierConfig(window_len=2), store=small_store
-    )
-    assert tiny.champions == default.champions
-    assert tiny.j_histogram == default.j_histogram
-    assert tiny.max_j == default.max_j
+def _scalar_run(values, every):
+    """verify_stream's results, one member at a time through VerifierState:
+    (state, (n, a_n) of a counterexample or None, progress messages)."""
+    state = VerifierState()
+    seen = []
+    state.push(values[0])
+    for a in values[1:]:
+        try:
+            j = j_of(state, a)
+        except CounterexampleFound as e:
+            return state, (e.n, e.a_n), seen
+        state.record(a, j)
+        state.push(a)
+        if state.count % every == 0:
+            seen.append(f"verified through member #{state.count} = {a}")
+    return state, None, seen
 
 
-def test_window_exhausted_without_store():
-    with pytest.raises(WindowExhaustedError):
-        verify_stream([1, 2, 4, 16], config=VerifierConfig(window_len=2))
+def _tiny(chunk, tail):
+    """Shrink the batch geometry, so boundaries and the bitset walk run."""
+    return mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail)
 
 
-def test_membership_beyond_bitset_needs_store():
-    state = VerifierState(VerifierConfig(member_bound=4))
+@pytest.mark.parametrize("chunk, tail", [(7, 3), (1, 1), (64, 5)])
+def test_batch_offsets_across_chunks_and_tail(chunk, tail):
+    members = oracle.brute_a(2000)  # j reaches 10, beyond every tail here
+    with _tiny(chunk, tail):
+        got = [j for _, js in goldbach._offset_chunks(members) for j in js.tolist()]
+        report = verify_stream(members)
+    assert got == [oracle.brute_j(members, n) for n in range(2, len(members) + 1)]
+    state, failure, _ = _scalar_run(members, len(members))
+    assert failure is None
+    assert report.champions == state.champions
+    assert report.j_histogram == dict(sorted(state.j_histogram.items()))
+
+
+@st.composite
+def _streams(draw):
+    """1, then ascending values: about half of the even numbers, which
+    mostly decompose, and a few odd ones, which are never members."""
+    picks = draw(st.lists(st.booleans(), max_size=300))
+    odd = draw(st.sets(st.integers(1, 300), max_size=3))
+    evens = {2 * (i + 1) for i, pick in enumerate(picks) if pick}
+    return [1] + sorted(evens | {2 * i + 1 for i in odd})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_streams(), st.integers(1, 9), st.integers(1, 6), st.integers(1, 5))
+def test_batch_matches_scalar_reference(values, chunk, tail, every):
+    state, failure, want = _scalar_run(values, every)
+    seen = []
+    with _tiny(chunk, tail):
+        try:
+            report = verify_stream(values, progress=seen.append, progress_every=every)
+        except CounterexampleFound as e:
+            assert (e.n, e.a_n) == failure
+        else:
+            assert failure is None
+            assert report.members == state.count
+            assert report.last_member == state.last
+            assert report.champions == state.champions
+            assert report.j_histogram == dict(sorted(state.j_histogram.items()))
+    assert seen == want
+
+
+def test_values_beyond_supported_runs_are_refused():
+    # the bitset covers the values below VALUE_LIMIT and nothing else
+    for stream in ([1, 2, 10**12], [1, 2, 10**30], [1, 2, goldbach.VALUE_LIMIT]):
+        with pytest.raises(ValueError, match="below"):
+            verify_stream(stream)
+    state = VerifierState()
     state.push(1)
-    state.push(2)
-    state.push(4)
-    assert state.is_member(2)
-    with pytest.raises(WindowExhaustedError):
-        state.is_member(6)
+    with pytest.raises(ValueError, match="below"):
+        state.push(10**12)
+    assert state.last == 1
 
 
 def test_counterexample_is_reported():
@@ -95,15 +137,15 @@ def test_stream_validation():
         verify_stream([2, 4, 6])
     with pytest.raises(ValueError):
         verify_stream([1, 2, 2])
-
-
-def test_bitset_grows_on_demand():
-    state = VerifierState(VerifierConfig(member_bound=1 << 20))
-    state.push(1)
-    state.push(2)
-    state.push(1 << 19)
-    assert state.is_member(1 << 19)
-    assert not state.is_member((1 << 19) - 2)
+    # whichever fault comes first in the stream is the one reported
+    with pytest.raises(ValueError, match="ascend"):
+        verify_stream([1, 2, 4, 4, 9])
+    with pytest.raises(CounterexampleFound):
+        verify_stream([1, 2, 4, 9, 8])
+    with pytest.raises(CounterexampleFound):
+        verify_stream([1, 2, 4, 9, 10**12])
+    with pytest.raises(ValueError, match="below"):
+        verify_stream([1, 2, 10**12, 9])
 
 
 def test_vacuous_offset_never_champions():

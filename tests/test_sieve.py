@@ -200,6 +200,15 @@ def test_strike_count_matches_direct_model():
     assert stats.candidates == n_idx + 1
 
 
+
+def test_stats_are_counted_only_on_request():
+    blocks = _blocks_to(2 * 10**5)
+    stats = SieveStats()
+    counted = sieve_a_segment(10**5, 2 * 10**5, blocks, stats=stats)
+    plain = sieve_a_segment(10**5, 2 * 10**5, blocks)
+    assert np.array_equal(counted.values, plain.values)
+    assert stats == SieveStats(strikes=96507, candidates=50000, survivors=5735)
+
 # -- pipeline ----------------------------------------------------------------
 
 
