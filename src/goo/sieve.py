@@ -6,12 +6,17 @@ Three stages, each feeding the next:
 2. ``sieve_segment_1mod4`` + ``annotate_roots`` -- segmented sieve over the
    residue class 1 mod 4 up to the square root of the bound, each surviving
    prime annotated with its canonical square root of -1.
-3. ``sieve_a_segment`` -- sieve over candidates x themselves: x survives
-   when x^2 + 1 has no prime factor below it, i.e. when x avoids both
-   roots of -1 modulo every annotated prime p < x^2 + 1.
+   ``sieve_prime_roots`` runs the two over a list of ranges.
+3. A sieve over the candidates x themselves: x survives when x^2 + 1 has no
+   prime factor below it, i.e. when x avoids both roots of -1 modulo every
+   annotated prime p < x^2 + 1.
 
-``run_pipeline`` drives all three against a ``SegmentStore``, segment by
-segment, with restartable, byte-deterministic output.
+``run_pipeline`` drives the three against a ``SegmentStore`` in one fused
+pass: each prime-root block is sieved (or, on resume, read) once, feeds the
+candidate strike as soon as it exists, and every A segment it completes is
+committed right after it. Output is restartable and byte-deterministic.
+``sieve_a_segment`` is the stand-alone form of stage 3 for one window of
+candidates against a stream of blocks (random windows, tests, references).
 """
 
 from dataclasses import dataclass
@@ -27,6 +32,7 @@ from .store import (
     KIND_PRIME,
     ManifestError,
     SegmentStore,
+    a_segment_ranges,
     prime_segment_ranges,
     x_limit,
 )
@@ -36,6 +42,8 @@ MIN_SEGMENT_LEN = 1 << 10
 MAX_BOUND = 10**18  # keeps every intermediate product inside int64
 
 _ROOT_BASE_CAP = 1000
+# largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
+MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 
 
 class InsufficientBasePrimesError(ValueError):
@@ -157,20 +165,39 @@ def sieve_segment_1mod4(
     return 4 * (t_lo + np.flatnonzero(mask).astype(np.int64)) + 1
 
 
-def _vector_pow(base: int, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise; all moduli must stay below 2^31.5."""
+def _vector_pow(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exp % mod elementwise; every modulus must be at most
+    MAX_ROOT_PRIME, or the int64 squares overflow."""
     result = np.ones_like(mod)
-    square = np.full_like(mod, base)
-    np.mod(square, mod, out=square)
+    square = base % mod
     e = exp.copy()
     while True:
-        odd = (e & 1).astype(bool)
-        if odd.any():
-            result[odd] = result[odd] * square[odd] % mod[odd]
+        result = np.where(e & 1, result * square % mod, result)
         e >>= 1
         if not e.any():
             return result
         square = square * square % mod
+
+
+def _root_bases(p: np.ndarray, base_cap: int) -> np.ndarray:
+    """Least prime quadratic non-residue mod each p = 1 (mod 4), or 0 when
+    none is at most base_cap.
+
+    2 is a non-residue exactly when p = 5 (mod 8). For an odd prime q,
+    reciprocity gives (q|p) = (p|q) because p = 1 (mod 4), so q is read
+    off the residue p mod q without touching p's own arithmetic.
+    """
+    base = np.where(p % 8 == 5, 2, 0)
+    pending = np.flatnonzero(base == 0)
+    for q in small_primes(base_cap)[1:].tolist():
+        if pending.size == 0:
+            break
+        non_residue = np.ones(q, dtype=bool)
+        non_residue[np.arange(q) ** 2 % q] = False
+        hit = non_residue[p[pending] % q]
+        base[pending[hit]] = q
+        pending = pending[~hit]
+    return base
 
 
 def annotate_roots(
@@ -182,28 +209,28 @@ def annotate_roots(
 ) -> PrimeRootBlock:
     """Attach the canonical square root of -1 to each prime = 1 mod 4.
 
-    Roots come from raising small bases to the (p-1)/4 power; a base works
-    for about half the primes, so a handful of rounds clears the block.
-    Order is preserved and nothing else about the input is assumed.
+    The root is t = q^((p-1)/4) for a quadratic non-residue q (Euler's
+    criterion makes t^2 = -1); q is the least prime non-residue, chosen
+    before any exponentiation, so each prime costs one modular power.
+    Every root is checked, and a failed check or a prime with no base below
+    base_cap raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
+    ValueError. Order is preserved and nothing else about the input is
+    assumed.
     """
     p = np.asarray(primes, dtype=np.int64)
-    r = np.zeros_like(p)
-    exp = (p - 1) >> 2
-    pending = np.arange(p.size)
-    for base in small_primes(base_cap).tolist():
-        if pending.size == 0:
-            break
-        t = _vector_pow(base, exp[pending], p[pending])
-        ok = t * t % p[pending] == p[pending] - 1
-        hit = pending[ok]
-        r[hit] = np.minimum(t[ok], p[hit] - t[ok])
-        pending = pending[~ok]
-    if pending.size:
+    if p.size and int(p.max()) > MAX_ROOT_PRIME:
+        raise ValueError(
+            f"prime {int(p.max())} above {MAX_ROOT_PRIME}: its squares overflow int64"
+        )
+    base = _root_bases(p, base_cap)
+    t = _vector_pow(np.maximum(base, 1), (p - 1) >> 2, p)
+    bad = np.flatnonzero((base == 0) | (t * t % p != p - 1))
+    if bad.size:
         raise NoRootFoundError(
             f"no base below {base_cap} yields a root of -1 mod "
-            f"{int(p[pending[0]])}; composite input or corrupt stream?"
+            f"{int(p[bad[0]])}; composite input or corrupt stream?"
         )
-    return PrimeRootBlock(lo=lo, hi=hi, p=p, r=r)
+    return PrimeRootBlock(lo=lo, hi=hi, p=p, r=np.minimum(t, p - t))
 
 
 def sieve_a_segment(
@@ -299,6 +326,27 @@ def _strike_block(
         mask[i0::st] = False
 
 
+def sieve_prime_roots(
+    ranges: Iterable[tuple], *, thread_count: int = 1
+) -> Iterator[PrimeRootBlock]:
+    """Sieve and annotate each range [lo, hi) of ``ranges``, in order.
+
+    Every lo must be 1 mod 4. The base primes are sieved once, up to the
+    square root of the highest end. With thread_count > 1 the ranges run on
+    a thread pool with bounded lookahead; the blocks are the same.
+    """
+    ranges = list(ranges)
+    if not ranges:
+        return
+    base_primes = small_primes(isqrt(max(hi for _, hi in ranges) - 1) + 1)
+
+    def job(rng):
+        lo, hi = rng
+        return annotate_roots(sieve_segment_1mod4(lo, hi, base_primes), lo=lo, hi=hi)
+
+    yield from _ordered_map(job, ranges, thread_count)
+
+
 def iter_prime_root_blocks(
     config: SieveConfig, *, block_len: Optional[int] = None
 ) -> Iterator[PrimeRootBlock]:
@@ -308,15 +356,90 @@ def iter_prime_root_blocks(
     itself persists blocks through a SegmentStore instead.
     """
     seg = block_len if block_len is not None else config.segment_len
-    base_primes = _base_primes_for(config.bound_b)
-    for lo, hi in prime_segment_ranges(config.bound_b, seg):
-        primes = sieve_segment_1mod4(lo, hi, base_primes)
-        yield annotate_roots(primes, lo=lo, hi=hi)
+    return sieve_prime_roots(
+        prime_segment_ranges(config.bound_b, seg), thread_count=config.thread_count
+    )
 
 
-def _base_primes_for(bound_b: int) -> np.ndarray:
-    # covers sqrt(x_limit^2) = fourth root of the bound, with headroom
-    return small_primes(max(isqrt(x_limit(bound_b) - 1) + 1, 3))
+class _CandidateStrike:
+    """The even candidates below ``limit`` that the primes fed so far leave.
+
+    Segments are taken in ascending order, from the one starting at
+    ``start``. A prime p >= segment_len / 8 hits a segment at most eight
+    times per root, so when it is fed, all its hits from the next segment
+    up to ``limit`` are generated at once and cleared in a bit-packed mask
+    (bit i is the even candidate 2i; limit/16 bytes), and nothing about it
+    is kept. A smaller prime keeps the index of its next hit instead and
+    strikes each segment by slicing. The split sits near the point where
+    one slice per root and segment (about 1 us of interpreter time) costs
+    as much as the generated hits it replaces (about 50 ns each).
+    """
+
+    def __init__(self, limit: int, segment_len: int, start: int):
+        self.limit = limit
+        self.slice_below = segment_len // 8
+        self.base = start + (start & 1)  # first even candidate of the next segment
+        self.bits = np.full((limit + 15) // 16, 0xFF, dtype=np.uint8)
+        self.small_p = np.zeros(0, dtype=np.int64)
+        self.small_next = np.zeros(0, dtype=np.int64)  # hit index from base
+
+    def feed(self, block: PrimeRootBlock) -> None:
+        p, r = block.p, block.r
+        mate = p - r
+        two_p = 2 * p
+        own = r * r + 1 == p
+        small = p < self.slice_below
+        for e in (np.where(r & 1, r + p, r), np.where(mate & 1, mate + p, mate)):
+            # first hit at or past base on the even chain e, e + 2p, ...
+            first = e + two_p * np.maximum((self.base - e + two_p - 1) // two_p, 0)
+            # x = r with r^2 + 1 = p is the one survivor on its own chain
+            bump = own & (first == r)
+            first[bump] += two_p[bump]
+            self.small_p = np.concatenate((self.small_p, p[small]))
+            self.small_next = np.concatenate(
+                (self.small_next, (first[small] - self.base) >> 1)
+            )
+            self._clear_chains(first[~small], two_p[~small])
+
+    def _clear_chains(self, x: np.ndarray, step: np.ndarray) -> None:
+        # one hit per chain per batch, so a batch never exceeds the block
+        live = x < self.limit
+        x, step = x[live], step[live]
+        while x.size:
+            i = x >> 1
+            byte = i >> 3
+            keep = ~(np.uint8(1) << (i & 7).astype(np.uint8))
+            while byte.size:
+                # hits sharing a byte write it once each and the last write
+                # wins, so read back and repeat the clears that were lost
+                self.bits[byte] &= keep
+                lost = self.bits[byte] & ~keep != 0
+                byte, keep = byte[lost], keep[lost]
+            x = x + step
+            live = x < self.limit
+            x, step = x[live], step[live]
+
+    def emit(self, lo: int, hi: int) -> ASegment:
+        """Members of A in [lo, hi), the next segment in order."""
+        n = (hi - self.base + 1) // 2
+        alive = np.ones(n, dtype=bool)
+        for i0, step in zip(self.small_next.tolist(), self.small_p.tolist()):
+            alive[i0::step] = False
+        i = self.base >> 1
+        packed = self.bits[i >> 3 : (i + n + 7) >> 3]
+        alive &= np.unpackbits(packed, bitorder="little")[i & 7 : (i & 7) + n].view(bool)
+        values = self.base + 2 * np.flatnonzero(alive).astype(np.int64)
+        if lo == 1:
+            values = np.concatenate(([1], values))
+        self.skip(hi)
+        return ASegment(lo=lo, hi=hi, values=values)
+
+    def skip(self, hi: int) -> None:
+        """Move past the segment ending at hi without emitting it."""
+        n = (hi - self.base + 1) // 2
+        hits = np.maximum((n - self.small_next + self.small_p - 1) // self.small_p, 0)
+        self.small_next += self.small_p * hits - n
+        self.base += 2 * n
 
 
 def run_pipeline(
@@ -328,16 +451,21 @@ def run_pipeline(
 ) -> SegmentStore:
     """Sieve everything below the bound into ``data_dir`` and finalize.
 
-    Two phases: all prime-root segments, then all A segments (each A
-    segment re-reads the annotated primes it needs from the store). Output
+    One fused pass over the prime-root segments in order. Each block is
+    sieved and annotated, or read once (digest-checked) when the store
+    already holds it, and fed to the candidate strike; every A segment
+    whose end its coverage reaches is committed right after it, so commits
+    run P0, A0, A1, P1, A2, ... A fresh run is a resume whose plan lists
+    every segment: with ``resume=True`` an existing manifest is honored and
+    only missing or corrupt segments are recomputed. ``thread_count``
+    threads sieve and annotate prime blocks ahead of the strike. Output
     bytes depend only on (bound_b, segment_len), not on thread count or
-    interruption history. With ``resume=True`` an existing manifest is
-    honored and only missing or corrupt segments are recomputed.
+    interruption history.
     """
 
-    def tell(msg: str) -> None:
+    def tell(entry) -> None:
         if progress is not None:
-            progress(msg)
+            progress(f"commit {entry.kind} [{entry.lo},{entry.hi}) count={entry.count}")
 
     if resume:
         try:
@@ -355,36 +483,42 @@ def run_pipeline(
                     f"segment_len={store.manifest.segment_len}"
                 )
             store.manifest.status = "in_progress"
-        plan = store.resume_plan()
     else:
         store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
-        plan = store.resume_plan()
+    todo = set(store.resume_plan())
 
-    prime_work = [(lo, hi) for kind, lo, hi in plan if kind == KIND_PRIME]
-    a_work = [(lo, hi) for kind, lo, hi in plan if kind == KIND_A]
-    base_primes = _base_primes_for(config.bound_b) if prime_work else None
-
-    def prime_job(rng):
-        lo, hi = rng
-        primes = sieve_segment_1mod4(lo, hi, base_primes)
-        return annotate_roots(primes, lo=lo, hi=hi)
-
-    def a_job(rng):
-        lo, hi = rng
-        return sieve_a_segment(lo, hi, store.read_prime_blocks(upto=hi))
-
-    for kind, work, job, write in (
-        (KIND_PRIME, prime_work, prime_job, store.write_prime_segment),
-        (KIND_A, a_work, a_job, store.write_a_segment),
-    ):
-        for result in _ordered_map(job, work, config.thread_count):
-            entry = write(result)
-            tell(
-                f"commit {kind} [{entry.lo},{entry.hi}) count={entry.count}"
-            )
+    prime_ranges = prime_segment_ranges(config.bound_b, config.segment_len)
+    a_ranges = a_segment_ranges(config.bound_b, config.segment_len)
+    a_todo = [i for i, (lo, hi) in enumerate(a_ranges) if (KIND_A, lo, hi) in todo]
+    fresh = sieve_prime_roots(
+        [(lo, hi) for lo, hi in prime_ranges if (KIND_PRIME, lo, hi) in todo],
+        thread_count=config.thread_count,
+    )
+    k, a_end = (a_todo[0], a_todo[-1] + 1) if a_todo else (0, 0)
+    if a_todo:
+        strike = _CandidateStrike(
+            x_limit(config.bound_b), config.segment_len, a_ranges[k][0]
+        )
+    for lo, hi in prime_ranges:
+        if (KIND_PRIME, lo, hi) in todo:
+            block = next(fresh)
+            tell(store.write_prime_segment(block))
+        elif k < a_end:
+            block = store.read_prime_block(lo, hi)
+        if k >= a_end:
+            continue
+        strike.feed(block)
+        while k < a_end and a_ranges[k][1] <= hi:
+            a_lo, a_hi = a_ranges[k]
+            if (KIND_A, a_lo, a_hi) in todo:
+                tell(store.write_a_segment(strike.emit(a_lo, a_hi)))
+            else:
+                strike.skip(a_hi)
+            k += 1
 
     store.finalize()
-    tell("complete")
+    if progress is not None:
+        progress("complete")
     return store
 
 

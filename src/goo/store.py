@@ -351,6 +351,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    # the rename lives in the directory, which must reach the disk too
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _sha256(data: bytes) -> str:
@@ -481,6 +487,13 @@ class SegmentStore:
             covered = entry.hi
         if upto is not None and covered < upto:
             raise GapError(f"prime segments end at {covered}, need {upto}")
+
+    def read_prime_block(self, lo: int, hi: int) -> PrimeRootBlock:
+        """The committed prime-root segment [lo, hi), digest-checked."""
+        for entry in self.manifest.entries:
+            if (entry.kind, entry.lo, entry.hi) == (KIND_PRIME, lo, hi):
+                return decode_prime_segment(self._load(entry))
+        raise GapError(f"no prime-root segment [{lo},{hi}) in the manifest")
 
     def read_a_segments(self, start: int = 1) -> Iterator[ASegment]:
         """Yield A-value segments whose range ends beyond ``start``.

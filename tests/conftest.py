@@ -5,8 +5,6 @@ verification, acceptance) reads from the same two runs instead of
 re-sieving per test.
 """
 
-from math import isqrt
-
 import pytest
 
 from goo import sieve, store
@@ -34,15 +32,9 @@ def big_store(tmp_path_factory):
 def _root_blocks_reaching(x_cover: int, segment_len: int = 1 << 22):
     """Annotated prime-root blocks tiling [1, >= x_cover)."""
     bound = (x_cover + 2) * (x_cover + 2)  # x_limit(bound) > x_cover
-    # the last block can stretch one full span past x_cover
-    base = sieve.small_primes(isqrt(x_cover + 4 * segment_len) + 1)
-    blocks = []
-    for lo, hi in store.prime_segment_ranges(bound, segment_len):
-        primes = sieve.sieve_segment_1mod4(lo, hi, base)
-        blocks.append(sieve.annotate_roots(primes, lo=lo, hi=hi))
-        if hi >= x_cover:
-            break
-    return blocks
+    ranges = store.prime_segment_ranges(bound, segment_len)
+    reach = next(i for i, (_, hi) in enumerate(ranges) if hi >= x_cover)
+    return list(sieve.sieve_prime_roots(ranges[: reach + 1]))
 
 
 @pytest.fixture(scope="session")

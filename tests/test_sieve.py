@@ -1,10 +1,16 @@
 import random
+import shutil
+import tempfile
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goo import oracle, sieve, store
+from goo.modarith import NoRootFoundError
 from goo.records import PrimeRootBlock
 from goo.sieve import (
     IncompleteRootStreamError,
@@ -114,6 +120,27 @@ def test_annotate_roots_known_values():
     assert block.p.tolist() == [5, 13, 17]
     assert block.r.tolist() == [2, 5, 4]
     assert [rec for rec in block] == [(5, 2), (13, 5), (17, 4)]
+
+
+def test_annotate_roots_range_guard():
+    # the largest prime = 1 (mod 4) whose squares fit int64 still works
+    top = 3_037_000_493
+    assert sieve.MAX_ROOT_PRIME == 3_037_000_500
+    r = int(annotate_roots(np.array([top], dtype=np.int64)).r[0])
+    assert r * r % top == top - 1 and 2 * r < top
+    # 3037000537 is the next such prime; near 4e9 the squares wrapped and a
+    # real prime like 4000000009 was reported as composite input
+    for p in (3_037_000_537, 4_000_000_009):
+        assert oracle.is_prime_64(p)
+        with pytest.raises(ValueError, match="overflow int64"):
+            annotate_roots(np.array([5, p], dtype=np.int64))
+
+
+def test_annotate_roots_rejects_rootless_input():
+    with pytest.raises(NoRootFoundError):
+        annotate_roots(np.array([5, 21], dtype=np.int64))  # 21 = 3 * 7
+    with pytest.raises(NoRootFoundError):
+        annotate_roots(np.array([17], dtype=np.int64), base_cap=2)  # needs 3
 
 
 # -- third sieve --------------------------------------------------------------
@@ -277,3 +304,129 @@ def test_iter_prime_root_blocks_tiles_candidate_space():
     assert blocks[-1].hi == store.x_limit(10**8)
     for a, b in zip(blocks, blocks[1:]):
         assert a.hi == b.lo
+
+
+# -- fused pass -----------------------------------------------------------------
+
+# x = r with r^2 + 1 = p prime survives its own chain; from p = 197 on, at
+# segment_len 1024, p is in the class whose hits are generated on arrival
+SELF_HITS = {2: 5, 4: 17, 6: 37, 10: 101, 14: 197, 16: 257, 20: 401, 26: 677, 36: 1297}
+
+
+@pytest.fixture(scope="module")
+def brute_a_1e5():
+    return oracle.brute_a(10**5)
+
+
+@pytest.mark.parametrize("segment_len", [1024, 2048, 4096])
+def test_fused_pass_matches_oracle_and_window_sieve(tmp_path, segment_len, brute_a_1e5):
+    for bound in (10**4, 10**7 + 1, 777_777_777, 10**10):
+        cfg = SieveConfig(bound_b=bound, segment_len=segment_len)
+        got = run_pipeline(cfg, tmp_path / str(bound)).read_a_stream()
+        limit = store.x_limit(bound)
+        want = [a for a in brute_a_1e5 if a < limit]
+        assert list(got) == want, bound
+        window = sieve_a_segment(1, limit, iter_prime_root_blocks(cfg))
+        assert window.values.tolist() == want, bound
+    assert want[0] == 1
+    for x, p in SELF_HITS.items():
+        assert x * x + 1 == p and x in want
+
+
+def test_fresh_pipeline_reads_no_prime_blocks(tmp_path, monkeypatch):
+    reads = []
+    for name in ("read_prime_blocks", "read_prime_block"):
+        real = getattr(store.SegmentStore, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            reads.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(store.SegmentStore, name, counted)
+    run_pipeline(SieveConfig(bound_b=10**9, segment_len=1024), tmp_path / "d")
+    assert reads == []
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in Path(root).iterdir()}
+
+
+def test_pipeline_commit_order(tmp_path):
+    # each prime block is followed by the A segments its coverage completes
+    commits = []
+    st = run_pipeline(
+        SieveConfig(bound_b=10**8, segment_len=1024), tmp_path / "d", progress=commits.append
+    )
+    counts = {(e.kind, e.lo, e.hi): e.count for e in st.manifest.entries}
+    order = [
+        ("prime_root", 1, 4097),
+        ("a_values", 1, 2048),
+        ("a_values", 2048, 4096),
+        ("prime_root", 4097, 8193),
+        ("a_values", 4096, 6144),
+        ("a_values", 6144, 8192),
+        ("prime_root", 8193, 10000),
+        ("a_values", 8192, 10000),
+    ]
+    assert sorted(order) == sorted(counts)
+    assert commits == [
+        f"commit {kind} [{lo},{hi}) count={counts[kind, lo, hi]}" for kind, lo, hi in order
+    ] + ["complete"]
+
+
+def test_resume_rewrites_corrupted_segments(tmp_path):
+    cfg = SieveConfig(bound_b=10**9, segment_len=1024)
+    clean = run_pipeline(cfg, tmp_path / "clean")
+    work = tmp_path / "work"
+    shutil.copytree(clean.root, work)
+    a_entries = clean.manifest.entries_of(store.KIND_A)
+    # the intact A segments 6-8 between the two corrupt ones are passed over
+    broken = [clean.manifest.entries_of(store.KIND_PRIME)[1], a_entries[5], a_entries[9]]
+    for entry in broken:
+        path = work / entry.filename
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+    commits = []
+    run_pipeline(cfg, work, resume=True, progress=commits.append)
+    # the rewritten prime block 1 also feeds the strike of both A segments
+    assert commits == [
+        f"commit {e.kind} [{e.lo},{e.hi}) count={e.count}" for e in broken
+    ] + ["complete"]
+    assert _files(work) == _files(clean.root)
+
+
+class _Kill(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def clean_1e9(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean-1e9")
+    run_pipeline(SieveConfig(bound_b=10**9, segment_len=1024), root)
+    return _files(root)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kills=st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=3),
+    threads=st.sampled_from([1, 2]),
+)
+def test_kill_and_resume_give_identical_bytes(clean_1e9, kills, threads):
+    # bound 10^9 at segment_len 1024 commits 8 prime and 16 A segments
+    cfg = SieveConfig(bound_b=10**9, segment_len=1024, thread_count=threads)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, kill_at in enumerate(kills):
+            seen = []
+
+            def killer(msg):
+                seen.append(msg)
+                if len(seen) > kill_at:
+                    raise _Kill
+
+            try:
+                run_pipeline(cfg, tmp, resume=i > 0, progress=killer)
+            except _Kill:
+                pass
+        run_pipeline(cfg, tmp, resume=True)
+        assert _files(tmp) == clean_1e9

@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import numpy as np
 import pytest
@@ -308,3 +310,17 @@ def test_store_overwrite_same_range_replaces_entry(tmp_path):
     entries = st.manifest.entries_of("a_values")
     assert len(entries) == 1
     assert entries[0].count == 3
+
+
+def test_atomic_write_syncs_the_directory(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(store.os, "fsync", spy)
+    store._atomic_write(tmp_path / "seg.bin", b"payload")
+    assert (tmp_path / "seg.bin").read_bytes() == b"payload"
+    assert synced == [False, True]  # the file, then its directory after the rename
