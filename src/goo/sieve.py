@@ -17,6 +17,8 @@ candidate strike as soon as it exists, and every A segment it completes is
 committed right after it. Output is restartable and byte-deterministic.
 ``sieve_a_segment`` is the stand-alone form of stage 3 for one window of
 candidates against a stream of blocks (random windows, tests, references).
+Both find where each prime's chains first hit their candidates with one
+kernel, ``_first_hits``, which works through a block in cache-sized chunks.
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ MAX_BOUND = 10**18  # keeps every intermediate product inside int64
 _ROOT_BASE_CAP = 1000
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
+_CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
 
 
 class InsufficientBasePrimesError(ValueError):
@@ -88,11 +91,6 @@ class SieveStats:
     strikes: int = 0
     candidates: int = 0
     survivors: int = 0
-
-    def merge(self, other: "SieveStats") -> None:
-        self.strikes += other.strikes
-        self.candidates += other.candidates
-        self.survivors += other.survivors
 
 
 def small_primes(limit: int) -> np.ndarray:
@@ -223,7 +221,10 @@ def annotate_roots(
             f"prime {int(p.max())} above {MAX_ROOT_PRIME}: its squares overflow int64"
         )
     base = _root_bases(p, base_cap)
-    t = _vector_pow(np.maximum(base, 1), (p - 1) >> 2, p)
+    t = np.empty_like(p)
+    for s in range(0, p.size, _CHUNK):  # slices small enough to stay in cache
+        c = slice(s, s + _CHUNK)
+        t[c] = _vector_pow(np.maximum(base[c], 1), (p[c] - 1) >> 2, p[c])
     bad = np.flatnonzero((base == 0) | (t * t % p != p - 1))
     if bad.size:
         raise NoRootFoundError(
@@ -231,6 +232,58 @@ def annotate_roots(
             f"{int(p[bad[0]])}; composite input or corrupt stream?"
         )
     return PrimeRootBlock(lo=lo, hi=hi, p=p, r=np.minimum(t, p - t))
+
+
+def _first_hits(
+    block: PrimeRootBlock, base: int, n: int, top: int
+) -> Iterator[tuple]:
+    """The live first hits of the pairs of ``block`` with p < top.
+
+    Candidates are the even x = base + 2i, i < n (base even). Each pair
+    strikes two chains of stride 2p: the even representative of r is
+    e = r + p(r & 1), that of p - r is 2p - e, and their first hits at or
+    past base lie at i = ((e - base) mod 2p) >> 1 and ((-e - base) mod 2p)
+    >> 1. A hit is live when i < n; x = r with r^2 + 1 = p is the one
+    survivor on its own chain, so that hit moves one stride on. Pairs are
+    taken in chunks of 2^14 through buffers reused per chunk, so the
+    arithmetic stays in cache; each chunk yields arrays (i, p) with one
+    entry per live chain.
+    """
+    stop = int(np.searchsorted(block.p, top))
+    size = min(stop, _CHUNK)
+    two_p, e, fix = (np.empty(size, dtype=np.int64) for _ in range(3))
+    hits = np.empty(2 * size, dtype=np.int64)
+    for s in range(0, stop, _CHUNK):
+        t = min(s + _CHUNK, stop)
+        p, r = block.p[s:t], block.r[s:t]
+        m = p.size
+        tp, ee, b, h = two_p[:m], e[:m], fix[:m], hits[: 2 * m]
+        lo, hi = h[:m], h[m:]
+        np.left_shift(p, 1, out=tp)
+        np.bitwise_and(r, 1, out=ee)
+        ee *= p
+        ee += r
+        np.remainder(base, tp, out=b)
+        np.subtract(ee, b, out=lo)  # = e - base (mod 2p), in (-2p, 2p)
+        np.subtract(tp, ee, out=hi)
+        hi -= b  # = -e - base (mod 2p), in (-2p, 2p)
+        for d, scratch in ((lo, ee), (hi, b)):  # add 2p where negative
+            np.right_shift(d, 63, out=scratch)
+            scratch &= tp
+            d += scratch
+        h >>= 1
+        live = np.flatnonzero(h < n)
+        i = h[live]
+        live[live >= m] -= m
+        step = p[live]
+        if base * base < int(p[-1]):  # some x >= base may have x^2 + 1 = p
+            x = base + 2 * i
+            own = x * x + 1 == step
+            if own.any():
+                i[own] += step[own]
+                keep = i < n
+                i, step = i[keep], step[keep]
+        yield i, step
 
 
 def sieve_a_segment(
@@ -242,16 +295,25 @@ def sieve_a_segment(
     """Members of A in [seg_lo, seg_hi) given annotated primes below seg_hi.
 
     Candidates are x = 1 plus the even x in range (odd x > 1 give even
-    x^2 + 1). For each annotated prime p, both residues r and p - r are
-    struck along their even representatives with stride 2p. A candidate x
-    whose own value x^2 + 1 equals p is the one legitimate survivor on its
-    strike chain, so that first hit is skipped.
+    x^2 + 1). For each annotated prime p < seg_hi, both residues r and
+    p - r are struck along their even representatives with stride 2p,
+    from the first hits that ``_first_hits`` finds (the kernel the fused
+    pass shares). A candidate x whose own value x^2 + 1 equals p is the one
+    legitimate survivor on its strike chain, so that first hit is skipped.
+    A chain with one hit in the window is cleared by fancy indexing with
+    the others of its chunk, one with more by slicing.
 
     The blocks must tile [1, seg_hi) or beyond without holes, starting at 1;
-    anything less raises IncompleteRootStreamError.
+    anything less raises IncompleteRootStreamError. seg_hi above
+    MAX_ROOT_PRIME raises ValueError: the squares of candidates and primes
+    must fit int64.
     """
     if seg_lo < 1 or seg_lo >= seg_hi:
         raise ValueError("need 1 <= seg_lo < seg_hi")
+    if seg_hi > MAX_ROOT_PRIME:
+        raise ValueError(
+            f"seg_hi {seg_hi} above {MAX_ROOT_PRIME}: its squares overflow int64"
+        )
 
     base = seg_lo + (seg_lo & 1)  # first even candidate
     n_idx = max(0, (seg_hi - base + 1) // 2)
@@ -267,7 +329,13 @@ def sieve_a_segment(
             )
         covered = block.hi
         if n_idx:
-            _strike_block(mask, base, n_idx, block, seg_hi, stats)
+            for i, step in _first_hits(block, base, n_idx, seg_hi):
+                if stats is not None:
+                    stats.strikes += int(np.sum((n_idx - i + step - 1) // step))
+                multi = i + step < n_idx
+                mask[i[~multi]] = False
+                for i0, st in zip(i[multi].tolist(), step[multi].tolist()):
+                    mask[i0::st] = False
         if covered >= seg_hi:
             break
     if covered < seg_hi:
@@ -281,49 +349,6 @@ def sieve_a_segment(
     if stats is not None:
         stats.survivors += values.size
     return ASegment(lo=seg_lo, hi=seg_hi, values=values)
-
-
-def _strike_block(
-    mask: np.ndarray,
-    base: int,
-    n_idx: int,
-    block: PrimeRootBlock,
-    seg_hi: int,
-    stats: Optional[SieveStats],
-) -> None:
-    keep = block.p < seg_hi
-    p = block.p[keep]
-    r = block.r[keep]
-    if p.size == 0:
-        return
-    # even representatives of the two residue classes +-r mod p
-    e_lo = np.where(r & 1, r + p, r)
-    mate = p - r
-    e_hi = np.where(mate & 1, mate + p, mate)
-    ee = np.concatenate((e_lo, e_hi))
-    pp = np.concatenate((p, p))
-    # self-hit guard: x = r with r^2 + 1 = p must survive its own chain
-    own = np.zeros(2 * p.size, dtype=bool)
-    own[: p.size] = r * r + 1 == p
-
-    two_p = 2 * pp
-    k = (base - ee + two_p - 1) // two_p
-    np.maximum(k, 0, out=k)
-    first = ee + two_p * k
-    bump = own & (first == np.concatenate((r, r)))
-    first[bump] += two_p[bump]
-
-    idx = (first - base) >> 1
-    live = idx < n_idx
-    idx = idx[live]
-    step = pp[live]
-    if stats is not None:
-        stats.strikes += int(np.sum((n_idx - idx + step - 1) // step))
-
-    multi = idx + step < n_idx
-    mask[idx[~multi]] = False
-    for i0, st in zip(idx[multi].tolist(), step[multi].tolist()):
-        mask[i0::st] = False
 
 
 def sieve_prime_roots(
@@ -367,7 +392,8 @@ class _CandidateStrike:
     Segments are taken in ascending order, from the one starting at
     ``start``. A prime p >= segment_len / 8 hits a segment at most eight
     times per root, so when it is fed, all its hits from the next segment
-    up to ``limit`` are generated at once and cleared in a bit-packed mask
+    up to ``limit`` are generated at once from the first hits that
+    ``_first_hits`` finds, and cleared in a bit-packed mask
     (bit i is the even candidate 2i; limit/16 bytes), and nothing about it
     is kept. A smaller prime keeps the index of its next hit instead and
     strikes each segment by slicing. The split sits near the point where
@@ -384,25 +410,18 @@ class _CandidateStrike:
         self.small_next = np.zeros(0, dtype=np.int64)  # hit index from base
 
     def feed(self, block: PrimeRootBlock) -> None:
-        p, r = block.p, block.r
-        mate = p - r
-        two_p = 2 * p
-        own = r * r + 1 == p
-        small = p < self.slice_below
-        for e in (np.where(r & 1, r + p, r), np.where(mate & 1, mate + p, mate)):
-            # first hit at or past base on the even chain e, e + 2p, ...
-            first = e + two_p * np.maximum((self.base - e + two_p - 1) // two_p, 0)
-            # x = r with r^2 + 1 = p is the one survivor on its own chain
-            bump = own & (first == r)
-            first[bump] += two_p[bump]
-            self.small_p = np.concatenate((self.small_p, p[small]))
-            self.small_next = np.concatenate(
-                (self.small_next, (first[small] - self.base) >> 1)
-            )
-            self._clear_chains(first[~small], two_p[~small])
+        n = (self.limit - self.base + 1) // 2  # even candidates left
+        small_p, small_next = [self.small_p], [self.small_next]
+        for i, p in _first_hits(block, self.base, n, self.limit):
+            small = p < self.slice_below
+            small_p.append(p[small])
+            small_next.append(i[small])
+            self._clear_chains(self.base + 2 * i[~small], 2 * p[~small])
+        self.small_p = np.concatenate(small_p)
+        self.small_next = np.concatenate(small_next)
 
     def _clear_chains(self, x: np.ndarray, step: np.ndarray) -> None:
-        # one hit per chain per batch, so a batch never exceeds the block
+        # one hit per chain per batch, so a batch never exceeds the chunk
         live = x < self.limit
         x, step = x[live], step[live]
         while x.size:

@@ -34,7 +34,7 @@ def _root_blocks_reaching(x_cover: int, segment_len: int = 1 << 22):
     bound = (x_cover + 2) * (x_cover + 2)  # x_limit(bound) > x_cover
     ranges = store.prime_segment_ranges(bound, segment_len)
     reach = next(i for i, (_, hi) in enumerate(ranges) if hi >= x_cover)
-    return list(sieve.sieve_prime_roots(ranges[: reach + 1]))
+    return list(sieve.sieve_prime_roots(ranges[: reach + 1], thread_count=2))
 
 
 @pytest.fixture(scope="session")

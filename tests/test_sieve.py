@@ -3,6 +3,7 @@ import shutil
 import tempfile
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +237,50 @@ def test_stats_are_counted_only_on_request():
     assert np.array_equal(counted.values, plain.values)
     assert stats == SieveStats(strikes=96507, candidates=50000, survivors=5735)
 
+
+def test_a_segment_range_guard():
+    # with no primes every even candidate survives, so only the guard can
+    # refuse a window whose candidates square past int64
+    top = sieve.MAX_ROOT_PRIME
+    empty = np.zeros(0, dtype=np.int64)
+    blocks = [PrimeRootBlock(lo=1, hi=top + 10, p=empty, r=empty)]
+    assert sieve_a_segment(top - 10, top, blocks).values.tolist() == list(
+        range(top - 10, top, 2)
+    )
+    with pytest.raises(ValueError, match="overflow int64"):
+        sieve_a_segment(top - 10, top + 10, blocks)
+
+
+@pytest.fixture(scope="module")
+def brute_a_3000():
+    return oracle.brute_a(3000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # lo below 50 reaches the self-hit region lo < sqrt(hi), where some
+    # candidate's own x^2 + 1 is an annotated prime; below width 10 every
+    # chain hits the window at most once, wide windows slice the small primes
+    lo=st.one_of(st.integers(1, 50), st.integers(1, 2999)),
+    width=st.one_of(st.integers(1, 24), st.integers(1, 3000)),
+    cuts=st.lists(st.integers(2, 2999), max_size=6),
+    chunk=st.sampled_from([1, 3, 16, 1 << 14]),
+    data=st.data(),
+)
+def test_a_segment_matches_brute_force(brute_a_3000, lo, width, cuts, chunk, data):
+    hi = min(lo + width, 3001)
+    reach = data.draw(st.integers(hi, 3001), label="reach")
+    primes = sieve_segment_1mod4(1, reach, small_primes(60))
+    root = annotate_roots(primes)
+    edges = [1, *sorted({c for c in cuts if c < reach}), reach]
+    blocks = []
+    for b_lo, b_hi in zip(edges, edges[1:]):
+        keep = (root.p >= b_lo) & (root.p < b_hi)
+        blocks.append(PrimeRootBlock(lo=b_lo, hi=b_hi, p=root.p[keep], r=root.r[keep]))
+    with mock.patch.object(sieve, "_CHUNK", chunk):
+        got = sieve_a_segment(lo, hi, iter(blocks)).values.tolist()
+    assert got == [a for a in brute_a_3000 if lo <= a < hi]
+
 # -- pipeline ----------------------------------------------------------------
 
 
@@ -331,6 +376,13 @@ def test_fused_pass_matches_oracle_and_window_sieve(tmp_path, segment_len, brute
     assert want[0] == 1
     for x, p in SELF_HITS.items():
         assert x * x + 1 == p and x in want
+
+
+def test_fused_pass_across_kernel_chunks(tmp_path, brute_a_1e5):
+    # chunks of 5 pairs put chunk edges inside every prime block
+    with mock.patch.object(sieve, "_CHUNK", 5):
+        got = run_pipeline(SieveConfig(bound_b=10**8, segment_len=1024), tmp_path / "d")
+    assert list(got.read_a_stream()) == [a for a in brute_a_1e5 if a < 10**4]
 
 
 def test_fresh_pipeline_reads_no_prime_blocks(tmp_path, monkeypatch):
