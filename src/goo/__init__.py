@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from . import analytics, cli, goldbach, hypotheses, modarith, oracle, sieve, store
+from . import analytics, cli, goldbach, hypotheses, oracle, sieve, store
 
 __all__ = [
     "analytics",
     "cli",
     "goldbach",
     "hypotheses",
-    "modarith",
     "oracle",
     "sieve",
     "store",

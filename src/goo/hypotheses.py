@@ -21,10 +21,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .modarith import crt_pair
-from .oracle import is_prime_64
+from .sieve import shifted_square_mask, small_primes
 
 _SCAN_FILTER_LIMIT = 97  # pre-filter removes multiples of primes up to here
+# Deterministic for every n < 3.3e24, which covers the full 64-bit range.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class ValueOverflowError(OverflowError):
@@ -136,15 +137,26 @@ def _product_coefficients(polys: Sequence[IntPolynomial]) -> list:
     return prod
 
 
-def _primes_upto(n: int) -> list:
+def is_prime_64(n: int) -> bool:
+    """Exact primality for 0 <= n < 2^64: Miller-Rabin to the bases 2..37."""
     if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+        return False
+    for a in _MR_WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> set:
@@ -167,17 +179,17 @@ def bunyakovsky_check(polys: Sequence[IntPolynomial]) -> Optional[int]:
     Only primes up to the product's total degree can vanish by having
     enough roots; beyond that the product must be zero as a polynomial
     mod p, which happens exactly when p divides every product coefficient.
-    Both routes are covered.
+    Both routes are covered, the second without scanning residues.
     """
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
     total_degree = sum(p.degree for p in polys)
-    candidates = set(_primes_upto(total_degree))
+    candidates = set(small_primes(total_degree).tolist()) if total_degree > 1 else set()
     content = gcd(*(abs(c) for c in _product_coefficients(polys))) if polys else 0
     candidates |= {p for p in _prime_factors(content) if p > total_degree}
     for p in sorted(candidates):
-        if all(
+        if p > total_degree or all(
             math.prod(f.eval_mod(a, p) for f in polys) % p == 0 for a in range(p)
         ):
             return p
@@ -201,13 +213,14 @@ def construct_shifts(
     *,
     budget: int = 10**6,
 ) -> list:
-    """k ascending shifts, first 0, all sharing one residue mod P.
+    """k ascending multiples of P, the product of the primes p <= 2k.
 
-    P is the product of primes p <= 2k and the residue b is chosen by CRT
-    so b^2 + 1 is a unit mod each p; then the family (x - b_i)^2 + 1 over
-    the returned b_i has no local obstruction. Values in ``avoid`` (a set
-    or a predicate) are skipped; scanning more than ``budget`` candidates
-    raises SearchBudgetExceededError.
+    Every b_i = 0 (mod p) for p <= 2k, so at x = 0 (mod p) each (x - b_i)^2
+    + 1 is 1 mod p; the product of the family is monic of degree 2k, so no
+    larger p divides it at every x. So the family has no local
+    obstruction. Values in ``avoid`` (a set or a predicate) are skipped;
+    scanning more than ``budget`` candidates raises
+    SearchBudgetExceededError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -219,15 +232,7 @@ def construct_shifts(
         members = set(avoid)
         in_avoid = lambda v: v in members
 
-    residue, modulus = 0, 1
-    for p in _primes_upto(2 * k):
-        for r in range(p):
-            if (r * r + 1) % p != 0:
-                residue, modulus = crt_pair(residue, modulus, r, p)
-                break
-
-    # the base residue can be taken as 0: 0^2 + 1 = 1 is a unit everywhere
-    assert residue == 0, "residue 0 always survives, CRT should keep it"
+    modulus = math.prod(small_primes(2 * k).tolist())
     shifts = []
     candidate = 0
     scanned = 0
@@ -274,9 +279,12 @@ def simultaneous_prime_scan(
     {y^2+1, (y-2)^2+1} both do at y = 1, value 2) is a degenerate
     coincidence, not simultaneous primality of the family.
 
-    A vectorized residue pre-filter removes multiples of small primes;
-    survivors get the deterministic 64-bit primality test. Checkpoints at
-    powers of ten record running counts against the c*y/log^k(y) shape.
+    When every member is a shifted square (c*y + s)^2 + 1, the hits are the
+    y with every |c*y + s| in A, struck over y by the sieve with no
+    primality test. Any other family goes through a vectorized residue
+    pre-filter that removes multiples of small primes, and its survivors
+    get the deterministic 64-bit primality test. Checkpoints at powers of
+    ten record running counts against the c*y/log^k(y) shape.
     """
     polys = list(polys)
     if len(set(p.coefficients for p in polys)) != len(polys):
@@ -292,50 +300,59 @@ def simultaneous_prime_scan(
         sum(abs(c) * y_limit ** (p.degree - i) for i, c in enumerate(p.coefficients))
         for p in polys
     )
+    # below 2^63 every |c*y + s| of a shifted square stays below
+    # sieve.MAX_ROOT_PRIME, the reach of the strike's int64 arithmetic
     if bound >= 1 << 63:
         raise ValueOverflowError(
             f"values reach {bound:.3e} at y = {y_limit}, past the 64-bit range"
         )
 
-    filter_primes = _primes_upto(_SCAN_FILTER_LIMIT)
-    marks = sorted(
-        {10**d for d in range(1, 19) if 10**d <= y_limit} | {y_limit}
-    )
-    hits: list = []
-    checkpoints: list = []
+    squares = [_as_shifted_square(p) for p in polys]
+    if None in squares:
+        hits = _filter_hits(polys, y_limit, chunk)
+    else:
+        hits = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
     k = len(polys)
-    mark_idx = 0
+    hits = [y for y in hits if len({p(y) for p in polys}) == k]
+    checkpoints = []
+    for m in sorted({10**d for d in range(1, 19) if 10**d <= y_limit} | {y_limit}):
+        n = bisect.bisect_right(hits, m)
+        fitted = n * math.log(m) ** k / m if m > 1 and n else 0.0
+        checkpoints.append(ScanCheckpoint(y=m, hits=n, fitted_constant=fitted))
+    return ScanResult(
+        polynomials=tuple(polys), y_limit=y_limit, hits=hits, checkpoints=checkpoints
+    )
 
+
+def _as_shifted_square(poly: IntPolynomial) -> Optional[tuple]:
+    """(c, s) when poly is (c*y + s)^2 + 1, else None."""
+    if poly.degree != 2:
+        return None
+    a, b, d = poly.coefficients
+    c = isqrt(a)
+    if c * c != a or b % (2 * c):
+        return None
+    s = b // (2 * c)
+    return (c, s) if d == s * s + 1 else None
+
+
+def _filter_hits(polys: Sequence[IntPolynomial], y_limit: int, chunk: int) -> list:
+    """The y where every value is prime: a residue filter, then a primality test."""
+    filter_primes = small_primes(_SCAN_FILTER_LIMIT).tolist()
+    hits = []
     for lo in range(0, y_limit + 1, chunk):
-        hi = min(lo + chunk - 1, y_limit)
-        y = np.arange(lo, hi + 1, dtype=np.int64)
+        y = np.arange(lo, min(lo + chunk, y_limit + 1), dtype=np.int64)
         values = [p.eval_array(y) for p in polys]
         ok = np.ones(y.size, dtype=bool)
         for v in values:
             ok &= v >= 2
-        for i in range(k):
-            for j in range(i + 1, k):
-                ok &= values[i] != values[j]
         for q in filter_primes:
             for v in values:
                 ok &= ~((v % q == 0) & (v != q))
         for yi in y[ok].tolist():
             if all(is_prime_64(int(p(yi))) for p in polys):
                 hits.append(yi)
-        while mark_idx < len(marks) and marks[mark_idx] <= hi:
-            m = marks[mark_idx]
-            n = _count_upto(hits, m)
-            fitted = n * math.log(m) ** k / m if m > 1 and n else 0.0
-            checkpoints.append(ScanCheckpoint(y=m, hits=n, fitted_constant=fitted))
-            mark_idx += 1
-
-    return ScanResult(
-        polynomials=tuple(polys), y_limit=y_limit, hits=hits, checkpoints=checkpoints
-    )
-
-
-def _count_upto(sorted_list: list, value: int) -> int:
-    return bisect.bisect_right(sorted_list, value)
+    return hits
 
 
 def scan_csv(result: ScanResult) -> str:

@@ -2,10 +2,14 @@
 
 Everything in this module trades speed for obviousness: trial division,
 linear scans, bisection over plain lists. The sieve and verifier are tested
-against these functions, so nothing here may share code with them.
+against these functions, so nothing here may share code with them. Only an
+exception type is shared: ``sqrt_minus_one`` raises the sieve's
+``NoRootFoundError``, so one handler covers a missing root of -1 from either.
 """
 
 from bisect import bisect_left
+
+from .sieve import NoRootFoundError
 
 # Below this, trial division is exact and cheap enough; at or above it we
 # switch to a fixed-witness strong-pseudoprime test.
@@ -70,6 +74,38 @@ def is_prime_64(n: int) -> bool:
         if not _strong_probable_prime(n, a):
             return False
     return True
+
+
+class NotOneModFourError(ValueError):
+    """p is not congruent to 1 mod 4, so -1 has no square root mod p."""
+
+
+def _candidate_bases(cap: int):
+    # primes 2, 3, 5, 7, ... up to cap, by trial division; cap is tiny
+    for n in range(2, cap + 1):
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            yield n
+
+
+def sqrt_minus_one(p: int, base_cap: int = 1000) -> int:
+    """Canonical square root of -1 mod p for a prime p = 1 (mod 4).
+
+    Tries t = n^((p-1)/4) for bases n = 2, 3, 5, 7, ... and accepts the
+    first t with t^2 = -1 (mod p). A fixed base is not enough: the base
+    must be a quadratic non-residue mod p, so roughly every second prime
+    works. Returns min(t, p-t), the root below p/2.
+    """
+    if p % 4 != 1:
+        raise NotOneModFourError(f"p={p} is not 1 mod 4")
+    exp = (p - 1) // 4
+    for base in _candidate_bases(base_cap):
+        t = pow(base % p, exp, p)
+        if t * t % p == p - 1:
+            return min(t, p - t)
+    raise NoRootFoundError(
+        f"no base <= {base_cap} yields a root of -1 mod {p}; "
+        f"{p} is likely composite (corrupt input)"
+    )
 
 
 def brute_a(limit: int) -> list:

@@ -19,15 +19,16 @@ committed right after it. Output is restartable and byte-deterministic.
 candidates against a stream of blocks (random windows, tests, references).
 Both find where each prime's chains first hit their candidates with one
 kernel, ``_first_hits``, which works through a block in cache-sized chunks.
+``shifted_square_mask`` runs stage 3 over the arguments y of the shifted
+squares (c*y + s)^2 + 1 instead, for the polynomial-family scans.
 """
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .modarith import NoRootFoundError
 from .records import ASegment, PrimeRootBlock
 from .store import (
     KIND_A,
@@ -47,6 +48,12 @@ _ROOT_BASE_CAP = 1000
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
+_SCAN_BLOCK = 1 << 18  # numbers per block of the shifted-square strike: < _CHUNK pairs
+
+
+class NoRootFoundError(ArithmeticError):
+    """No candidate base produced a root of -1; p is almost certainly
+    composite, which callers must treat as data corruption."""
 
 
 class InsufficientBasePrimesError(ValueError):
@@ -349,6 +356,73 @@ def sieve_a_segment(
     if stats is not None:
         stats.survivors += values.size
     return ASegment(lo=seg_lo, hi=seg_hi, values=values)
+
+
+def _argument(c: int, s: int, x: int, n: int) -> list:
+    """[y] for the y in [0, n) with c*y + s = x, or [] if there is none."""
+    y, rem = divmod(x - s, c)
+    return [y] if rem == 0 and 0 <= y < n else []
+
+
+def _strike_chain(mask: np.ndarray, start: int, step: int, keep: list) -> None:
+    """Clear mask[start::step] except at ``keep``, positions on that chain."""
+    for y in sorted(keep):
+        mask[start:y:step] = False
+        start = y + step
+    mask[start::step] = False
+
+
+def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
+    """Bool mask over y in [0, y_limit]: True where (c*y + s)^2 + 1 is
+    prime for every (c, s) of ``members``, a family with no local
+    obstruction, each c > 0.
+
+    x = c*y + s has x^2 + 1 prime exactly when |x| is in A, so the mask is
+    struck with no primality test: by p = 2 on the odd x, and by each
+    annotated p not dividing c (one that does divides no value) on the
+    chains y = (+-r - s) c^-1 (mod p), c^-1 = c^(p-2) mod p. A chain keeps the y where x^2 + 1 is its own
+    prime (x = +-1 for p = 2, x = +-r for p = r^2 + 1) wherever that lies,
+    so those few primes strike one chain at a time after the rest. The
+    primes come from ``sieve_prime_roots`` in blocks of 2^18 numbers tiling
+    [1, max |x| + 1), under 2^14 pairs each: one cache-sized chunk. Values
+    below 2^63, as the caller guarantees, keep |x| below MAX_ROOT_PRIME.
+    """
+    n = y_limit + 1
+    top = max(max(abs(s), abs(c * y_limit + s)) for c, s in members) + 1
+    alive = np.ones(n, dtype=bool)
+    own = [np.zeros(0, dtype=np.int64)]  # the r with r^2 + 1 = p
+    ranges = [(lo, min(lo + _SCAN_BLOCK, top)) for lo in range(1, top, _SCAN_BLOCK)]
+    for block in sieve_prime_roots(ranges):
+        self_hit = block.r * block.r + 1 == block.p
+        own.append(block.r[self_hit])
+        inverses = {}  # per scale c: the other pairs with p not dividing c, and c^-1
+        for c, s in members:
+            if c not in inverses:
+                unit = (c % block.p != 0) & ~self_hit
+                pc, rc = block.p[unit], block.r[unit]
+                inverses[c] = pc, rc, _vector_pow(c % pc, pc - 2, pc)
+            pc, rc, inv = inverses[c]
+            for root in (rc, pc - rc):
+                i = (root - s) % pc * inv % pc
+                live = i < n
+                i, step = i[live], pc[live]
+                single = i + step >= n
+                alive[i[single]] = False
+                for i0, st in zip(i[~single].tolist(), step[~single].tolist()):
+                    alive[i0::st] = False
+    own = np.concatenate(own).tolist()
+    for c, s in members:
+        if c & 1:  # with c even, s is even too (else 2 divides every value)
+            keep = _argument(c, s, 1, n) + _argument(c, s, -1, n)
+            _strike_chain(alive, (s + 1) & 1, 2, keep)
+        for r in own:
+            p = r * r + 1
+            if c % p:
+                for x in (r, -r):
+                    start = (x - s) * pow(c, -1, p) % p
+                    _strike_chain(alive, start, p, _argument(c, s, x, n))
+        alive[_argument(c, s, 0, n)] = False  # x = 0 gives 1
+    return alive
 
 
 def sieve_prime_roots(

@@ -1,20 +1,34 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from goo import oracle
 from goo.hypotheses import (
     IntPolynomial,
     ScanCheckpoint,
     SearchBudgetExceededError,
     ValueOverflowError,
+    _filter_hits,
     bunyakovsky_check,
     construct_shifts,
+    is_prime_64,
     parse_polynomial,
     residue_certificate,
     scan_csv,
     simultaneous_prime_scan,
 )
+from goo.sieve import shifted_square_mask
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SQ65_1 = IntPolynomial.shifted_square(65, 1)
 SQ65_9 = IntPolynomial.shifted_square(65, 9)
@@ -84,6 +98,8 @@ def test_bunyakovsky_violations():
     # content divisor larger than the total degree
     assert bunyakovsky_check([IntPolynomial((2, 2))]) == 2
     assert bunyakovsky_check([IntPolynomial((7, 7, 7))]) == 7
+    big = 10**12 + 39  # a content prime is read off, not scanned residue by residue
+    assert bunyakovsky_check([IntPolynomial((big, 3 * big))]) == big
     with pytest.raises(ValueError):
         bunyakovsky_check([])
 
@@ -164,6 +180,66 @@ def test_scan_rejections():
         simultaneous_prime_scan([Y2P1], -1)
     with pytest.raises(ValueOverflowError):
         simultaneous_prime_scan([SQ65_1, SQ65_9], 10**9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    squares=st.lists(
+        st.tuples(st.integers(1, 100), st.integers(-60, 60)),
+        min_size=1, max_size=3, unique=True,
+    ),
+    y_limit=st.integers(0, 3000),
+)
+@example(squares=[(1, 0), (1, -2)], y_limit=100)  # PAIR: both values are 2 at y = 1
+@example(squares=[(1, -60), (3, -6)], y_limit=3000)  # x < 0, and x = 0 at y = 2
+@example(squares=[(65, 1), (65, 9)], y_limit=3000)  # 5 and 13 divide the scale
+@example(squares=[(1, 0), (1, -2)], y_limit=10**5)  # criterion 09's pair
+def test_square_strike_matches_filter_path(squares, y_limit):
+    # in the second example (y - 60)^2 + 1 is the prime 17 at y = 56, the
+    # fourth hit of 17's chain, which first hits y = 5
+    family = [IntPolynomial.shifted_square(c, s) for c, s in squares]
+    assume(bunyakovsky_check(family) is None)
+    struck = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
+    assert struck == _filter_hits(family, y_limit, 1 << 15)
+
+
+def test_is_prime_64_matches_oracle():
+    for n in range(10**5):
+        assert is_prime_64(n) == oracle.is_prime_64(n), n
+    rng = random.Random(5)
+    for n in [rng.getrandbits(64) for _ in range(3000)]:
+        assert is_prime_64(n) == oracle.is_prime_64(n), n
+    # strong pseudoprimes to the first bases: 2047 to base 2, the others
+    # to every prime base up to 7, 11, 13, 17 and 23
+    for n in (2047, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime_64(n) and not oracle.is_prime_64(n), n
+    near = isqrt(1 << 63)
+    primes = [q for q in range(near - 3000, near + 3000) if oracle.is_prime_64(q)]
+    assert len(primes) > 100
+    for p, q in zip(primes, primes[1:]):
+        assert is_prime_64(p) and not is_prime_64(p * q), (p, q)
+
+
+def test_demo_runs():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "demo_hypotheses.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "  3332 arguments where both values are prime" in lines
+    checkpoints = [line for line in lines if line.startswith("  through")]
+    assert checkpoints == [
+        "  through      10:    1 hits, shape constant 0.5302",
+        "  through     100:    5 hits, shape constant 1.0604",
+        "  through    1000:   39 hits, shape constant 1.8610",
+        "  through   10000:  240 hits, shape constant 2.0359",
+        "  through  100000: 1809 hits, shape constant 2.3978",
+        "  through  200000: 3332 hits, shape constant 2.4821",
+    ]
 
 
 def test_scan_csv():

@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 
-from goo import oracle
+from goo import oracle, sieve
 
 A_BELOW_100 = [1, 2, 4, 6, 10, 14, 16, 20, 24, 26, 36, 40, 54, 56, 66, 74, 84, 90, 94]
 
@@ -60,6 +60,40 @@ def test_strong_pseudoprimes_are_rejected():
     # Carmichael and strong-pseudoprime classics
     for n in (3215031751, 341550071728321, 3825123056546413051):
         assert not oracle.is_prime_64(n), n
+
+
+def test_sqrt_minus_one_examples():
+    assert oracle.sqrt_minus_one(5) == 2
+    assert oracle.sqrt_minus_one(13) == 5
+    assert oracle.sqrt_minus_one(17) == 4
+    r = oracle.sqrt_minus_one(1000033)
+    assert r * r % 1000033 == 1000032
+    assert 2 * r < 1000033
+
+
+def test_sqrt_minus_one_all_small_primes():
+    primes = sieve.small_primes(10**5).tolist()
+    for p in primes:
+        if p % 4 != 1:
+            continue
+        r = oracle.sqrt_minus_one(p)
+        assert r * r % p == p - 1
+        assert 0 < r < p / 2
+
+
+def test_sqrt_minus_one_rejects_wrong_class():
+    for p in (2, 3, 7, 11, 19, 23):
+        with pytest.raises(oracle.NotOneModFourError):
+            oracle.sqrt_minus_one(p)
+
+
+def test_sqrt_minus_one_composite_failure():
+    # 21 = 1 mod 4 but -1 is not a square mod 3, so no root exists at all
+    with pytest.raises(sieve.NoRootFoundError):
+        oracle.sqrt_minus_one(21, base_cap=100)
+    # 25 has roots of -1, but never hits one via the exponent recipe
+    with pytest.raises(sieve.NoRootFoundError):
+        oracle.sqrt_minus_one(25, base_cap=100)
 
 
 def test_brute_a_prefix():

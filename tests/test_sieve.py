@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goo import oracle, sieve, store
-from goo.modarith import NoRootFoundError
 from goo.records import PrimeRootBlock
 from goo.sieve import (
     IncompleteRootStreamError,
     InsufficientBasePrimesError,
+    NoRootFoundError,
     SieveConfig,
     SieveStats,
     annotate_roots,
