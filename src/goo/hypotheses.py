@@ -217,7 +217,7 @@ def construct_shifts(
 
     Every b_i = 0 (mod p) for p <= 2k, so at x = 0 (mod p) each (x - b_i)^2
     + 1 is 1 mod p; the product of the family is monic of degree 2k, so no
-    larger p divides it at every x. So the family has no local
+    larger p divides it at every x, and the family has no local
     obstruction. Values in ``avoid`` (a set or a predicate) are skipped;
     scanning more than ``budget`` candidates raises
     SearchBudgetExceededError.
