@@ -15,11 +15,12 @@ the member set once and reports the observed count against both models.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from math import isqrt
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .store import int64_chunks
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -130,6 +131,8 @@ def count_table(
 ) -> list:
     """Observed member counts against both density models, one pass.
 
+    ``a_stream`` holds the members ascending: a store's ``read_a_stream()``,
+    whose segment arrays are taken whole, or any iterable of ints.
     ``points`` are thresholds on x = a^2 + 1, ascending, each >= 10.
     ``covered_to`` (exclusive) declares how far the stream is complete;
     pass it whenever known so truncated data fails loudly instead of
@@ -153,11 +156,7 @@ def count_table(
     cuts = np.array([min(t, INT64_MAX) for t in thresholds], np.int64)
     counts = np.zeros(cuts.size, np.int64)
     prev = 0
-    it = iter(a_stream)
-    while True:
-        chunk = np.fromiter(islice(it, CHUNK), np.int64)
-        if not chunk.size:
-            break
+    for chunk in int64_chunks(a_stream, CHUNK):
         # values after the first one past the last threshold are never
         # looked at, so neither is their order
         past = np.flatnonzero(chunk > cuts[-1])

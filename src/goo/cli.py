@@ -6,6 +6,8 @@ stderr. Exit codes: 0 success, 2 verified counterexample, 64 usage,
 """
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
@@ -71,12 +73,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check the decomposition property")
     p.add_argument("--data", default=None)
     p.add_argument("--champions", default=None, help="write champion CSV here")
+    p.add_argument("--json", action="store_true", help="print the full report as JSON")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("count", help="counts against both density models")
     p.add_argument("--data", default=None)
     p.add_argument("--at", required=True, help="points, e.g. 1e6,1e9,1e12")
     p.add_argument("--csv", default=None, help="also write CSV here")
+    p.add_argument("--json", action="store_true", help="print the rows as JSON")
 
     p = sub.add_parser("cq", help="recompute the density constant")
     p.add_argument("--prime-limit", default="1e6")
@@ -130,6 +134,18 @@ def _cmd_sieve(args) -> int:
     return EX_OK
 
 
+def _report_json(report: goldbach.VerificationReport) -> dict:
+    """The whole report as JSON data; histogram keys become strings."""
+    return {
+        "members": report.members,
+        "verified": report.verified,
+        "last_member": report.last_member,
+        "max_j": report.max_j,
+        "champions": [{"n": c.n, "a_n": c.a_n, "j": c.j} for c in report.champions],
+        "j_histogram": {str(j): n for j, n in report.j_histogram.items()},
+    }
+
+
 def _cmd_verify(args) -> int:
     st = store.SegmentStore.open(_data_dir(args.data))
     if not st.manifest.complete:
@@ -139,12 +155,18 @@ def _cmd_verify(args) -> int:
             st.read_a_stream(), progress=_progress_writer(args.quiet)
         )
     except goldbach.CounterexampleFound as e:
-        print(f"counterexample member {e.n} value {e.a_n}")
+        if args.json:
+            print(json.dumps({"counterexample": {"n": e.n, "a_n": e.a_n}}))
+        else:
+            print(f"counterexample member {e.n} value {e.a_n}")
         return EX_COUNTEREXAMPLE
-    print(report.summary())
-    if report.champions:
-        print()
-        print(goldbach.format_champion_table(goldbach.champion_table(report.champions)))
+    if args.json:
+        print(json.dumps(_report_json(report)))
+    else:
+        print(report.summary())
+        if report.champions:
+            print()
+            print(goldbach.format_champion_table(goldbach.champion_table(report.champions)))
     if args.champions:
         with open(args.champions, "w", encoding="utf-8") as fh:
             goldbach.write_champions_csv(report.champions, fh)
@@ -163,7 +185,10 @@ def _cmd_count(args) -> int:
         )
     except (analytics.StreamTooShortError, ValueError) as e:
         raise UsageError(str(e)) from None
-    print(analytics.format_count_table(rows))
+    if args.json:
+        print(json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}))
+    else:
+        print(analytics.format_count_table(rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(analytics.count_table_csv(rows))

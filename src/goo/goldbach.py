@@ -5,8 +5,11 @@ a_n - a_{n-j} is itself a member. The conjecture under test says such a j
 always exists; a member with no decomposition at all is a counterexample
 and is reported loudly, never papered over.
 
-The stream is read in chunks of ``CHUNK`` values. Membership lives in a
-packed bitset over even values (bit i stands for 2i, and bit 0 for the
+The stream is read in chunks of at most ``CHUNK`` values by
+``store.int64_chunks``: a store's ``read_a_stream()`` is cut from its
+decoded segment arrays with no per-member Python step, and any other
+iterable of ints is read into int64 arrays. Membership lives in a packed
+bitset over even values (bit i stands for 2i, and bit 0 for the
 member 1; an odd x > 1 is never a member, since x^2 + 1 is even). It spans
 every value below ``VALUE_LIMIT``, but only the pages holding set bits
 become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5 MB at
@@ -26,14 +29,13 @@ member at a time, kept as the reference the batch path is tested against.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .analytics import DEFAULT_HL_CONSTANT
 from .sieve import MAX_BOUND
-from .store import SegmentStore, x_limit
+from .store import SegmentStore, int64_chunks, x_limit
 
 CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
@@ -157,7 +159,6 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     ValueError, after the chunk's values before it have been yielded, so
     the consumer sees every error in stream order.
     """
-    it = iter(values)
     # One zeroed allocation for every value below VALUE_LIMIT: 62.5 MB of
     # address space, of which only the pages holding set bits, about
     # last / 16 bytes, ever become resident. It never grows, so it is never
@@ -165,15 +166,7 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     bits = np.zeros((VALUE_LIMIT >> 4) + 1, np.uint8)
     tail = np.zeros(0, np.int64)
     last = 0
-    while True:
-        try:
-            chunk = np.fromiter(islice(it, CHUNK), np.int64)
-        except OverflowError:
-            raise ValueError(f"stream values must be below {VALUE_LIMIT}") from None
-        if not chunk.size:
-            if not last:
-                raise ValueError("empty stream")
-            return
+    for chunk in int64_chunks(values, CHUNK):
         if not last and chunk[0] != 1:
             raise ValueError(f"stream must start at the first member 1, got {chunk[0]}")
         before = np.concatenate(([last], chunk[:-1]))
@@ -217,6 +210,8 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
                 yield vals[first:], j[first:]
         if bad.size:
             _check_next(int(chunk[stop]), int(before[stop]))
+    if not last:
+        raise ValueError("empty stream")
 
 
 @dataclass
@@ -248,8 +243,10 @@ def verify_stream(
 ) -> VerificationReport:
     """Check every member of an ascending complete stream of A.
 
-    The stream must start at 1 and contain every member up to its end;
-    the decomposition search is only meaningful against the full prefix.
+    ``values`` is a store's ``read_a_stream()``, whose segment arrays are
+    taken whole, or any iterable of ints. The stream must start at 1 and
+    contain every member up to its end; the decomposition search is only
+    meaningful against the full prefix.
     Raises CounterexampleFound if some member has no decomposition, and
     ValueError for an empty stream, a first value other than 1, or a value
     that does not ascend or reaches ``VALUE_LIMIT``; whichever comes first

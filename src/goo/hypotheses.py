@@ -124,19 +124,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _product_coefficients(polys: Sequence[IntPolynomial]) -> list:
-    prod = [1]
-    for poly in polys:
-        nxt = [0] * (len(prod) + poly.degree)
-        for i, a in enumerate(prod):
-            if a == 0:
-                continue
-            for j, b in enumerate(poly.coefficients):
-                nxt[i + j] += a * b
-        prod = nxt
-    return prod
-
-
 def is_prime_64(n: int) -> bool:
     """Exact primality for 0 <= n < 2^64: Miller-Rabin to the bases 2..37."""
     if n < 2:
@@ -160,14 +147,19 @@ def is_prime_64(n: int) -> bool:
 
 
 def _prime_factors(n: int) -> set:
+    """Prime factors of |n| by trial division, stopped early once the
+    cofactor is 1 or a prime below 2^64."""
     out = set()
     n = abs(n)
-    for p in range(2, isqrt(n) + 1):
-        while n % p == 0:
+    p = 2
+    done = n < 1 << 64 and is_prime_64(n)
+    while not done and p * p <= n:
+        if n % p == 0:
             out.add(p)
-            n //= p
-        if n == 1:
-            break
+            while n % p == 0:
+                n //= p
+            done = n < 1 << 64 and is_prime_64(n)
+        p += 1
     if n > 1:
         out.add(n)
     return out
@@ -186,8 +178,9 @@ def bunyakovsky_check(polys: Sequence[IntPolynomial]) -> Optional[int]:
         raise ValueError("need at least one polynomial")
     total_degree = sum(p.degree for p in polys)
     candidates = set(small_primes(total_degree).tolist()) if total_degree > 1 else set()
-    content = gcd(*(abs(c) for c in _product_coefficients(polys))) if polys else 0
-    candidates |= {p for p in _prime_factors(content) if p > total_degree}
+    # Gauss's lemma: the product's content is the product of the members'
+    for f in polys:
+        candidates |= {p for p in _prime_factors(gcd(*f.coefficients)) if p > total_degree}
     for p in sorted(candidates):
         if p > total_degree or all(
             math.prod(f.eval_mod(a, p) for f in polys) % p == 0 for a in range(p)

@@ -16,10 +16,12 @@ import hashlib
 import os
 import re
 import struct
+from bisect import insort
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import isqrt
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -181,31 +183,39 @@ def _encode_deltas(deltas: np.ndarray) -> bytes:
 
 
 def _decode_deltas(payload: bytes, expect: int) -> np.ndarray:
+    """Inverse of ``_encode_deltas``; only the multi-byte varints are rebuilt.
+
+    A byte below 0x80 ends a varint, so those bytes in order are the
+    one-byte deltas and the top 7 bits of the longer ones. The continuation
+    bytes, a few in ten thousand at 10^16, are folded into their varints.
+    """
     buf = np.frombuffer(payload, dtype=np.uint8)
     if buf.size == 0:
         if expect:
             raise CorruptSegmentError("varint payload missing")
         return np.zeros(0, dtype=np.int64)
-    if buf.size and buf[-1] & 0x80:
+    if buf[-1] & 0x80:
         raise CorruptSegmentError("truncated varint at end of segment")
-    ends = np.flatnonzero(~(buf & 0x80).astype(bool))
-    if ends.size != expect:
+    cont = np.flatnonzero(buf & 0x80)
+    if buf.size - cont.size != expect:
         raise CorruptSegmentError(
-            f"expected {expect} deltas, payload holds {ends.size}"
+            f"expected {expect} deltas, payload holds {buf.size - cont.size}"
         )
-    if not (buf & 0x80).any():
+    if not cont.size:
         out = buf.astype(np.int64)
     else:
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        lengths = ends - starts + 1
-        out = np.zeros(expect, dtype=np.int64)
-        for width in range(1, int(lengths.max()) + 1):
-            sel = lengths >= width
-            out[sel] |= (buf[starts[sel] + width - 1].astype(np.int64) & 0x7F) << (
-                7 * (width - 1)
-            )
+        out = buf[buf < 0x80].astype(np.int64)
+        # a continuation byte belongs to the varint counted by the final
+        # bytes before it; runs of one owner are one multi-byte varint
+        owner = cont - np.arange(cont.size)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        width = np.diff(first, append=cont.size)  # continuation bytes per varint
+        if width.max() > 8:
+            raise CorruptSegmentError("varint longer than 9 bytes")
+        shift = 7 * (cont - np.repeat(cont[first], width))
+        low = np.add.reduceat((buf[cont] & 0x7F).astype(np.int64) << shift, first)
+        multi = owner[first]
+        out[multi] = (out[multi] << 7 * width) | low
     if np.any(out <= 0):
         raise CorruptSegmentError("zero delta: values must strictly ascend")
     return out
@@ -248,6 +258,44 @@ def decode_a_segment(data: bytes) -> ASegment:
     return ASegment(lo=lo, hi=hi, values=values)
 
 
+@dataclass(frozen=True)
+class AStream:
+    """The A values >= start of one store, as ``read_a_stream`` returns them."""
+
+    store: "SegmentStore"
+    start: int
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        return self.store.read_a_arrays(self.start)
+
+    def __iter__(self) -> Iterator[int]:
+        for values in self.arrays():
+            yield from values.tolist()
+
+
+def int64_chunks(values: Iterable[int], size: int) -> Iterator[np.ndarray]:
+    """The values in order as int64 arrays of at most ``size`` each.
+
+    An ``AStream`` is cut from its segment arrays, with no per-value step;
+    any other iterable is read ``size`` values at a time, and a value
+    outside int64 raises ValueError.
+    """
+    if isinstance(values, AStream):
+        for array in values.arrays():
+            for i in range(0, array.size, size):
+                yield array[i : i + size]
+        return
+    it = iter(values)
+    while True:
+        try:
+            chunk = np.fromiter(islice(it, size), np.int64)
+        except OverflowError:
+            raise ValueError("stream values must be below 2^63") from None
+        if not chunk.size:
+            return
+        yield chunk
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -262,6 +310,10 @@ class ManifestEntry:
     filename: str
 
 
+def _entry_order(entry: ManifestEntry) -> tuple:
+    return entry.kind, entry.lo
+
+
 @dataclass
 class RunManifest:
     bound_b: int
@@ -269,10 +321,12 @@ class RunManifest:
     status: str  # "in_progress" | "complete"
     entries: list
 
+    def __post_init__(self):
+        self.entries = sorted(self.entries, key=_entry_order)
+
     def entries_of(self, kind: str) -> list:
-        return sorted(
-            (e for e in self.entries if e.kind == kind), key=lambda e: e.lo
-        )
+        """The entries of one kind, ascending by lo (``entries`` is kept sorted)."""
+        return [e for e in self.entries if e.kind == kind]
 
     @property
     def complete(self) -> bool:
@@ -440,10 +494,9 @@ class SegmentStore:
         filename = f"{kind}-{index:05d}.bin"
         _atomic_write(self.root / filename, data)
         entry = ManifestEntry(kind, lo, hi, count, _sha256(data), filename)
-        self.manifest.entries = [
-            e for e in self.manifest.entries if (e.kind, e.lo) != (kind, lo)
-        ]
-        self.manifest.entries.append(entry)
+        entries = [e for e in self.manifest.entries if (e.kind, e.lo) != (kind, lo)]
+        insort(entries, entry, key=_entry_order)
+        self.manifest.entries = entries
         self._write_manifest()
         return entry
 
@@ -522,13 +575,22 @@ class SegmentStore:
                 f"a-value segments end at {covered}, need {limit}"
             )
 
-    def read_a_stream(self, start: int = 1) -> Iterator[int]:
-        """Yield every stored A value >= start, ascending."""
+    def read_a_arrays(self, start: int = 1) -> Iterator[np.ndarray]:
+        """Yield the stored A values >= start as one int64 array per segment."""
         for segment in self.read_a_segments(start):
             values = segment.values
             if len(values) and values[0] < start:
                 values = values[np.searchsorted(values, start) :]
-            yield from values.tolist()
+            yield values
+
+    def read_a_stream(self, start: int = 1) -> "AStream":
+        """Every stored A value >= start, ascending, read lazily.
+
+        Iterating the result yields Python ints; ``int64_chunks`` and the
+        consumers built on it (``verify_stream``, ``count_table``) take its
+        decoded segment arrays whole instead.
+        """
+        return AStream(self, start)
 
     def entry_values(self, entry: ManifestEntry) -> np.ndarray:
         """Decoded values of one a-value entry, digest-checked, cached."""

@@ -1,6 +1,11 @@
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
-from goo import cli, store
+from goo import analytics, cli, goldbach, store
+from goo.records import ASegment
 
 A_BELOW_100 = [1, 2, 4, 6, 10, 14, 16, 20, 24, 26, 36, 40, 54, 56, 66, 74, 84, 90, 94]
 
@@ -80,6 +85,33 @@ def test_verify_end_to_end(run_1e6, tmp_path, capsys):
     assert row and row[0] == ["16", "74", "106", "3", "1.08"]
 
 
+def test_verify_json_is_the_whole_report(run_1e6, capsys):
+    code = cli.main(["verify", "--data", str(run_1e6), "--quiet", "--json"])
+    got = json.loads(capsys.readouterr().out)
+    assert code == 0
+    report = goldbach.verify_stream(store.SegmentStore.open(run_1e6).read_a_stream())
+    assert got == {
+        "members": report.members,
+        "verified": report.verified,
+        "last_member": report.last_member,
+        "max_j": report.max_j,
+        "champions": [{"n": n, "a_n": a, "j": j} for n, a, j in report.champions],
+        "j_histogram": {str(j): c for j, c in report.j_histogram.items()},
+    }
+    assert got["members"] == 112 and got["max_j"] == 7
+    assert sum(got["j_histogram"].values()) == got["verified"]
+
+
+def test_verify_json_counterexample(tmp_path, capsys):
+    st = store.SegmentStore.create(tmp_path / "d", 10**4, 1024)
+    (lo, hi), = store.a_segment_ranges(10**4, 1024)
+    st.write_a_segment(ASegment(lo=lo, hi=hi, values=np.array([1, 2, 4, 9], np.int64)))
+    st.finalize()
+    code = cli.main(["verify", "--data", str(tmp_path / "d"), "--quiet", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {"counterexample": {"n": 4, "a_n": 9}}
+
+
 def test_verify_missing_data_dir(tmp_path):
     assert cli.main(["verify", "--data", str(tmp_path / "nope")]) == 65
 
@@ -102,6 +134,17 @@ def test_count_table(run_1e6, tmp_path, capsys):
     assert lines[1][:2] == ["10^4", "19"]
     assert lines[2][:2] == ["10^6", "112"]
     assert csv.read_text().splitlines()[1].startswith("10000,19,")
+
+
+def test_count_json_is_the_rows(run_1e6, capsys):
+    code = cli.main(["count", "--data", str(run_1e6), "--at", "1e4,1e6", "--json"])
+    got = json.loads(capsys.readouterr().out)
+    assert code == 0
+    rows = analytics.count_table(
+        store.SegmentStore.open(run_1e6).read_a_stream(), [10**4, 10**6], covered_to=1000
+    )
+    assert got == {"rows": [dataclasses.asdict(r) for r in rows]}
+    assert [r["pi_q"] for r in got["rows"]] == [19, 112]
 
 
 def test_count_beyond_coverage(run_1e6):

@@ -1,11 +1,15 @@
+import bisect
 import io
+import math
+import shutil
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goo import goldbach, oracle
+from goo import analytics, goldbach, oracle, store
+from goo.analytics import count_table
 from goo.goldbach import (
     ChampionRecord,
     CounterexampleFound,
@@ -16,6 +20,8 @@ from goo.goldbach import (
     verify_stream,
     write_champions_csv,
 )
+from goo.sieve import SieveConfig, run_pipeline
+from goo.store import CorruptSegmentError, GapError
 
 
 def test_champion_record_behaves_like_tuple():
@@ -34,6 +40,69 @@ def test_verify_small_store(small_store):
     assert report.j_histogram[1] == 17
     assert report.j_histogram[3] == 1
     assert "largest offset j:  3" in report.summary()
+
+
+@pytest.fixture(scope="module")
+def many_segments(tmp_path_factory):
+    """Bound 10^10 at segment_len 2^10: the members below 10^5 in 49 segments."""
+    cfg = SieveConfig(bound_b=10**10, segment_len=1 << 10, thread_count=1)
+    return run_pipeline(cfg, tmp_path_factory.mktemp("many"))
+
+
+@pytest.fixture(scope="module")
+def a_below_1e5(a_members_1e6):
+    return [a for a in a_members_1e6 if a < 10**5]
+
+
+def _arrays_only():
+    """Fail any read of the store's stream one Python int at a time."""
+    return mock.patch.object(store.AStream, "__iter__", side_effect=AssertionError)
+
+
+@pytest.mark.parametrize("chunk, tail", [(goldbach.CHUNK, goldbach.TAIL), (100, 3)])
+def test_array_path_matches_int_path(many_segments, a_below_1e5, chunk, tail):
+    st_ = many_segments
+    assert len(st_.manifest.entries_of(store.KIND_A)) == 49
+    with _tiny(chunk, tail):
+        with _arrays_only():
+            report = verify_stream(st_.read_a_stream())
+        assert report == verify_stream(list(st_.read_a_stream()))
+    assert report.members == len(a_below_1e5)
+
+
+@pytest.mark.parametrize("chunk", [analytics.CHUNK, 100])
+def test_count_array_path_matches_int_path(many_segments, a_below_1e5, monkeypatch, chunk):
+    monkeypatch.setattr(analytics, "CHUNK", chunk)
+    st_ = many_segments
+    points = [10**k for k in range(1, 11)]
+    lo, hi = store.a_segment_ranges(10**10, 1 << 10)[3]
+    for start in (1, lo, lo + 101, hi - 1, 60_001):
+        stream = st_.read_a_stream(start)
+        with _arrays_only():
+            rows = count_table(stream, points, covered_to=10**5)
+        assert rows == count_table(list(stream), points, covered_to=10**5)
+        below = [a for a in a_below_1e5 if a >= start]
+        assert [r.pi_q for r in rows] == [
+            bisect.bisect_right(below, math.isqrt(x - 1)) for x in points
+        ]
+
+
+def test_array_path_refuses_damage(many_segments, tmp_path):
+    victim = many_segments.manifest.entries_of(store.KIND_A)[20]
+    rotten = tmp_path / "rotten"
+    shutil.copytree(many_segments.root, rotten)
+    raw = bytearray((rotten / victim.filename).read_bytes())
+    raw[-1] ^= 0x01
+    (rotten / victim.filename).write_bytes(bytes(raw))
+    with pytest.raises(CorruptSegmentError):
+        verify_stream(store.SegmentStore.open(rotten).read_a_stream())
+    holed = tmp_path / "holed"
+    shutil.copytree(many_segments.root, holed)
+    manifest = holed / store.MANIFEST_NAME
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if victim.filename not in ln))
+    with pytest.raises(GapError):
+        verify_stream(store.SegmentStore.open(holed).read_a_stream())
 
 
 def test_j_of_matches_brute_force():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from goo.hypotheses import (
     SearchBudgetExceededError,
     ValueOverflowError,
     _filter_hits,
+    _prime_factors,
     bunyakovsky_check,
     construct_shifts,
     is_prime_64,
@@ -102,6 +104,19 @@ def test_bunyakovsky_violations():
     assert bunyakovsky_check([IntPolynomial((big, 3 * big))]) == big
     with pytest.raises(ValueError):
         bunyakovsky_check([])
+
+
+def test_content_prime_near_2_62_is_found_fast():
+    # trial division to the square root of such a content takes minutes;
+    # the factoring stops once the cofactor passes is_prime_64
+    big = next(n for n in range((1 << 62) + 1, (1 << 62) + 10**4, 2) if is_prime_64(n))
+    began = time.process_time()
+    assert bunyakovsky_check([IntPolynomial((big, 3 * big))]) == big
+    # each member's content is factored on its own, so big^2 never arises
+    assert bunyakovsky_check([IntPolynomial((big, big)), IntPolynomial((big, 3 * big))]) == big
+    assert bunyakovsky_check([IntPolynomial((big, 0, big)), IntPolynomial((1, 1))]) == big
+    assert _prime_factors(12 * big) == {2, 3, big}
+    assert time.process_time() - began < 1.0
 
 
 def test_residue_certificates():

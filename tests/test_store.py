@@ -4,6 +4,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from goo import store
 from goo.records import ASegment, PrimeRootBlock
@@ -162,6 +164,69 @@ def test_a_segment_rejects_damage():
     # values must sit inside the declared range
     with pytest.raises(CorruptSegmentError):
         decode_a_segment(encode_a_segment(_a_seg(1, 5, [1, 2, 4, 6])))
+
+
+# each width boundary of the varint code; 2^21 takes the encoder's scalar branch
+BOUNDARY_GAPS = (1, 2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**21 - 1, 2**21)
+_gaps = hst.lists(
+    hst.one_of(hst.sampled_from(BOUNDARY_GAPS), hst.integers(1, 2**22)), max_size=200
+)
+
+
+def _encoded(first, gaps):
+    values = np.cumsum([first, *gaps]).tolist()
+    return values, encode_a_segment(_a_seg(first, values[-1] + 1, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=hst.integers(1, 2**40), gaps=_gaps)
+@example(first=1, gaps=list(BOUNDARY_GAPS))
+@example(first=2**40, gaps=[2**21, 1, 2**21 - 1])
+def test_a_codec_round_trips(first, gaps):
+    values, data = _encoded(first, gaps)
+    assert decode_a_segment(data).values.tolist() == values
+
+
+def _with_count(data, count):
+    magic, version, lo, hi, _ = store._HEADER.unpack_from(data)
+    return store._HEADER.pack(magic, version, lo, hi, count) + data[store._HEADER.size :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=hst.integers(1, 2**40), gaps=_gaps.filter(bool), pick=hst.integers(0, 2**32))
+@example(first=1, gaps=list(BOUNDARY_GAPS), pick=0)
+@example(first=1, gaps=list(BOUNDARY_GAPS), pick=5)
+def test_a_codec_refuses_damage(first, gaps, pick):
+    values, good = _encoded(first, gaps)
+    payload_at = store._HEADER.size + 8
+    # a payload cut short: a varint loses its tail, or whole deltas go missing
+    cut = 1 + pick % (len(good) - payload_at)
+    with pytest.raises(CorruptSegmentError):
+        decode_a_segment(good[:-cut])
+    # or a varint begun after the last delta and never finished
+    with pytest.raises(CorruptSegmentError, match="truncated"):
+        decode_a_segment(good + bytes([0x80 | pick & 0x7F]))
+    # a header count that disagrees with the payload
+    count = pick % (len(values) + 4)
+    count += count == len(values)
+    with pytest.raises(CorruptSegmentError):
+        decode_a_segment(_with_count(good, count))
+    # a zero delta slipped in at a varint boundary, with the count to match
+    ends = [payload_at] + [payload_at + i + 1 for i, b in enumerate(good[payload_at:]) if b < 0x80]
+    at = ends[pick % len(ends)]
+    zero = good[:at] + b"\x00" + good[at:]
+    with pytest.raises(CorruptSegmentError, match="zero delta"):
+        decode_a_segment(_with_count(zero, len(values) + 1))
+
+
+def test_a_codec_refuses_overlong_varint():
+    # nine bytes carry 63 bits, every positive int64; a tenth cannot be a delta
+    good = encode_a_segment(_a_seg(1, 2**63 - 1, [1, 2**62]))
+    assert len(good) == store._HEADER.size + 8 + 9
+    for width in (10, 11):
+        overlong = good[: store._HEADER.size + 8] + b"\x80" * (width - 1) + b"\x01"
+        with pytest.raises(CorruptSegmentError, match="longer than 9 bytes"):
+            decode_a_segment(overlong)
 
 
 # -- manifest ---------------------------------------------------------------
