@@ -40,15 +40,6 @@ class StreamTooShortError(ValueError):
     """The member stream does not cover the largest requested point."""
 
 
-@dataclass(frozen=True)
-class HardyLittlewoodConstant:
-    c_q: float = DEFAULT_HL_CONSTANT
-    note: str = (
-        "truncated Euler product over odd primes p: (1 - chi(p)/(p-1)), "
-        "chi(p) = +1 when p = 1 mod 4 else -1; validate via compute_cq"
-    )
-
-
 def compute_cq(prime_limit) -> float:
     """Truncated Euler product defining the constant, over odd p <= limit.
 

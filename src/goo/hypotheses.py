@@ -21,10 +21,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .sieve import shifted_square_mask, small_primes
+from .sieve import shifted_square_fits, shifted_square_mask, small_primes
 
 _SCAN_FILTER_LIMIT = 97  # pre-filter removes multiples of primes up to here
-# Deterministic for every n < 3.3e24, which covers the full 64-bit range.
+# Deterministic for every n < 3.18e23 (the least strong pseudoprime to
+# all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -74,9 +75,15 @@ class IntPolynomial:
         return acc
 
     def eval_array(self, y: np.ndarray) -> np.ndarray:
+        """Values at int64 y, exact wherever the value fits int64.
+
+        Horner's rule runs in wrapping int64 arithmetic, right modulo 2^64
+        even where a coefficient (which at y = 0 the partial sums are) or a
+        partial sum does not fit.
+        """
         acc = np.zeros_like(y)
         for c in self.coefficients:
-            acc = acc * y + c
+            acc = acc * y + ((c + (1 << 63)) % (1 << 64) - (1 << 63))
         return acc
 
     def __str__(self) -> str:
@@ -146,22 +153,41 @@ def is_prime_64(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n, which has no prime factor up to
+    37: Pollard's rho with Floyd's cycle finding, about sqrt(p) steps for
+    the least prime factor p."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"no factor of {n} found")
+
+
 def _prime_factors(n: int) -> set:
-    """Prime factors of |n| by trial division, stopped early once the
-    cofactor is 1 or a prime below 2^64."""
-    out = set()
+    """Prime factors of |n|: trial division by the primes up to 37, then
+    Pollard's rho on each cofactor that fails ``is_prime_64``, which is
+    exact below 2^64 and a strong probable-prime test above."""
     n = abs(n)
-    p = 2
-    done = n < 1 << 64 and is_prime_64(n)
-    while not done and p * p <= n:
-        if n % p == 0:
+    out = set()
+    for p in _MR_WITNESSES:
+        while n and n % p == 0:
             out.add(p)
-            while n % p == 0:
-                n //= p
-            done = n < 1 << 64 and is_prime_64(n)
-        p += 1
-    if n > 1:
-        out.add(n)
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime_64(m):
+            out.add(m)
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
     return out
 
 
@@ -272,9 +298,10 @@ def simultaneous_prime_scan(
     {y^2+1, (y-2)^2+1} both do at y = 1, value 2) is a degenerate
     coincidence, not simultaneous primality of the family.
 
-    When every member is a shifted square (c*y + s)^2 + 1, the hits are the
-    y with every |c*y + s| in A, struck over y by the sieve with no
-    primality test. Any other family goes through a vectorized residue
+    When every member is a shifted square (c*y + s)^2 + 1 within the
+    strike's int64 range (``shifted_square_fits``), the hits are the y with
+    every |c*y + s| in A, struck over y by the sieve with no primality
+    test. Any other family goes through a vectorized residue
     pre-filter that removes multiples of small primes, and its survivors
     get the deterministic 64-bit primality test. Checkpoints at powers of
     ten record running counts against the c*y/log^k(y) shape.
@@ -293,15 +320,13 @@ def simultaneous_prime_scan(
         sum(abs(c) * y_limit ** (p.degree - i) for i, c in enumerate(p.coefficients))
         for p in polys
     )
-    # below 2^63 every |c*y + s| of a shifted square stays below
-    # sieve.MAX_ROOT_PRIME, the reach of the strike's int64 arithmetic
     if bound >= 1 << 63:
         raise ValueOverflowError(
             f"values reach {bound:.3e} at y = {y_limit}, past the 64-bit range"
         )
 
     squares = [_as_shifted_square(p) for p in polys]
-    if None in squares:
+    if None in squares or not shifted_square_fits(squares, y_limit):
         hits = _filter_hits(polys, y_limit, chunk)
     else:
         hits = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()

@@ -1,17 +1,9 @@
 """Record types shared by the sieves and the segment store."""
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
-
-
-class PrimeRootRecord(NamedTuple):
-    """A prime p = 1 (mod 4) with the canonical square root r of -1 mod p
-    (the root below p/2; the mate is p - r)."""
-
-    p: int
-    r: int
 
 
 @dataclass
@@ -30,13 +22,6 @@ class PrimeRootBlock:
 
     def __len__(self) -> int:
         return int(self.p.size)
-
-    def __iter__(self) -> Iterator[PrimeRootRecord]:
-        for p, r in zip(self.p.tolist(), self.r.tolist()):
-            yield PrimeRootRecord(p, r)
-
-    def records(self) -> list:
-        return list(self)
 
 
 @dataclass

@@ -48,6 +48,7 @@ _ROOT_BASE_CAP = 1000
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
+_WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
 _SCAN_BLOCK = 1 << 18  # numbers per block of the shifted-square strike: < _CHUNK pairs
 
 
@@ -170,18 +171,46 @@ def sieve_segment_1mod4(
     return 4 * (t_lo + np.flatnonzero(mask).astype(np.int64)) + 1
 
 
-def _vector_pow(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise; every modulus must be at most
-    MAX_ROOT_PRIME, or the int64 squares overflow."""
-    result = np.ones_like(mod)
-    square = base % mod
-    e = exp.copy()
-    while True:
-        result = np.where(e & 1, result * square % mod, result)
-        e >>= 1
-        if not e.any():
-            return result
-        square = square * square % mod
+def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
+    """base**exp % mod elementwise, for exp >= 0; exp and mod may be
+    scalars. Every modulus must be in [1, MAX_ROOT_PRIME], or the int64
+    squares overflow.
+
+    Left to right in fixed windows of _WINDOW bits: a table of base^0..7
+    mod m, one column per element, then per window three squarings in
+    place and one multiply by the table entry of the window's digit,
+    gathered with one flat take. There is no per-bit select and no fresh
+    array per window.
+    """
+    n = base.size
+    exp = np.broadcast_to(exp, base.shape)
+    table = np.empty((1 << _WINDOW, n), dtype=np.int64)
+    table[0] = 1 % mod
+    table[1] = base % mod
+    for j in range(2, 1 << _WINDOW):
+        np.multiply(table[j - 1], table[1], out=table[j])
+        table[j] %= mod
+    flat = table.ravel()
+    cols = np.arange(n, dtype=np.int64)
+    digit = np.empty(n, dtype=np.int64)  # flat index of each element's entry
+    entry = np.empty(n, dtype=np.int64)
+    top = max(int(exp.max(initial=0)).bit_length() - 1, 0) // _WINDOW * _WINDOW
+    x = None
+    for shift in range(top, -1, -_WINDOW):
+        np.right_shift(exp, shift, out=digit)
+        digit &= (1 << _WINDOW) - 1
+        digit *= n
+        digit += cols
+        if x is None:  # the leading window starts the power
+            x = flat.take(digit)
+            continue
+        for _ in range(_WINDOW):
+            x *= x
+            x %= mod
+        np.take(flat, digit, out=entry)
+        x *= entry
+        x %= mod
+    return x
 
 
 def _root_bases(p: np.ndarray, base_cap: int) -> np.ndarray:
@@ -216,7 +245,8 @@ def annotate_roots(
 
     The root is t = q^((p-1)/4) for a quadratic non-residue q (Euler's
     criterion makes t^2 = -1); q is the least prime non-residue, chosen
-    before any exponentiation, so each prime costs one modular power.
+    before any exponentiation, so each prime costs one modular power, taken
+    by ``_vector_pow`` in slices of _CHUNK primes that stay in cache.
     Every root is checked, and a failed check or a prime with no base below
     base_cap raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
     ValueError. Order is preserved and nothing else about the input is
@@ -372,23 +402,67 @@ def _strike_chain(mask: np.ndarray, start: int, step: int, keep: list) -> None:
     mask[start::step] = False
 
 
+def _totient(c: int) -> int:
+    """Euler's phi of c >= 1, by trial division up to sqrt(c)."""
+    phi, q = c, 2
+    while q * q <= c:
+        if c % q == 0:
+            phi -= phi // q
+            while c % q == 0:
+                c //= q
+        q += 1
+    return phi - phi // c if c > 1 else phi
+
+
+def _scale_inverse(c: int, phi: int, p: np.ndarray) -> np.ndarray:
+    """c^-1 mod each prime p not dividing c, where phi is phi(c).
+
+    p^phi = 1 (mod c), so k = -p^(phi - 1) mod c makes 1 + k*p a multiple
+    of c, and (1 + k*p)/c is c^-1 mod p: one power modulo c with an
+    exponent below c, however large p is. Needs c < MAX_ROOT_PRIME and
+    (c - 1)*p + 1 < 2^63 for every p.
+    """
+    k = -_vector_pow(p % c, phi - 1, c) % c
+    return (1 + k * p) // c
+
+
+def _scan_top(members: Sequence[tuple], y_limit: int) -> int:
+    """1 + the largest |c*y + s| over the family and y in [0, y_limit]."""
+    return max(max(abs(s), abs(c * y_limit + s)) for c, s in members) + 1
+
+
+def shifted_square_fits(members: Sequence[tuple], y_limit: int) -> bool:
+    """Whether ``shifted_square_mask`` can run the family in int64: every
+    |c*y + s| below MAX_ROOT_PRIME, so the primes p annotate and their
+    products fit, and every c below MAX_ROOT_PRIME, so c % p fits and
+    (c - 1)*p + 1 <= (MAX_ROOT_PRIME - 1)^2 < 2^63, as ``_scale_inverse``
+    needs."""
+    top = _scan_top(members, y_limit)
+    return top <= MAX_ROOT_PRIME and all(c < MAX_ROOT_PRIME for c, _ in members)
+
+
 def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
     """Bool mask over y in [0, y_limit]: True where (c*y + s)^2 + 1 is
     prime for every (c, s) of ``members``, a family with no local
-    obstruction, each c > 0.
+    obstruction, each c > 0. A family outside ``shifted_square_fits``
+    raises ValueError.
 
     x = c*y + s has x^2 + 1 prime exactly when |x| is in A, so the mask is
     struck with no primality test: by p = 2 on the odd x, and by each
     annotated p not dividing c (one that does divides no value) on the
-    chains y = (+-r - s) c^-1 (mod p), c^-1 = c^(p-2) mod p. A chain keeps the y where x^2 + 1 is its own
-    prime (x = +-1 for p = 2, x = +-r for p = r^2 + 1) wherever that lies,
-    so those few primes strike one chain at a time after the rest. The
-    primes come from ``sieve_prime_roots`` in blocks of 2^18 numbers tiling
-    [1, max |x| + 1), under 2^14 pairs each: one cache-sized chunk. Values
-    below 2^63, as the caller guarantees, keep |x| below MAX_ROOT_PRIME.
+    chains y = (+-r - s) c^-1 (mod p), with c^-1 from ``_scale_inverse``
+    (phi(c) is found once per scale). A chain keeps the y where x^2 + 1 is
+    its own prime (x = +-1 for p = 2, x = +-r for p = r^2 + 1) wherever
+    that lies, so those few primes strike one chain at a time after the
+    rest. The primes come from ``sieve_prime_roots`` in blocks of 2^18
+    numbers tiling [1, max |x| + 1), under 2^14 pairs each: one cache-sized
+    chunk.
     """
+    if not shifted_square_fits(members, y_limit):
+        raise ValueError("family outside the int64 range of the strike")
     n = y_limit + 1
-    top = max(max(abs(s), abs(c * y_limit + s)) for c, s in members) + 1
+    top = _scan_top(members, y_limit)
+    phi = {c: _totient(c) for c, _ in members}
     alive = np.ones(n, dtype=bool)
     own = [np.zeros(0, dtype=np.int64)]  # the r with r^2 + 1 = p
     ranges = [(lo, min(lo + _SCAN_BLOCK, top)) for lo in range(1, top, _SCAN_BLOCK)]
@@ -400,7 +474,7 @@ def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
             if c not in inverses:
                 unit = (c % block.p != 0) & ~self_hit
                 pc, rc = block.p[unit], block.r[unit]
-                inverses[c] = pc, rc, _vector_pow(c % pc, pc - 2, pc)
+                inverses[c] = pc, rc, _scale_inverse(c, phi[c], pc)
             pc, rc, inv = inverses[c]
             for root in (rc, pc - rc):
                 i = (root - s) % pc * inv % pc

@@ -8,7 +8,6 @@ from goo.analytics import (
     DEFAULT_HL_CONSTANT,
     EULER_GAMMA,
     DomainError,
-    HardyLittlewoodConstant,
     StreamTooShortError,
     compute_cq,
     count_model_li,
@@ -78,12 +77,6 @@ def test_cq_converges_to_stored_constant():
 def test_cq_validation():
     with pytest.raises(ValueError):
         compute_cq(2)
-
-
-def test_stored_constant_record():
-    hl = HardyLittlewoodConstant()
-    assert hl.c_q == DEFAULT_HL_CONSTANT
-    assert "compute_cq" in hl.note
 
 
 # -- density models -------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from goo import oracle
+from goo import oracle, sieve
 from goo.hypotheses import (
     IntPolynomial,
     ScanCheckpoint,
@@ -28,7 +28,7 @@ from goo.hypotheses import (
     scan_csv,
     simultaneous_prime_scan,
 )
-from goo.sieve import shifted_square_mask
+from goo.sieve import shifted_square_fits, shifted_square_mask
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,6 +119,17 @@ def test_content_prime_near_2_62_is_found_fast():
     assert time.process_time() - began < 1.0
 
 
+def test_content_with_two_large_primes_is_split_fast():
+    # neither cofactor is prime until the smaller factor is found, so trial
+    # division would run to 10^9; Pollard's rho takes about sqrt(10^9) steps
+    p, q = 1_000_000_007, 1_000_000_009
+    began = time.process_time()
+    assert bunyakovsky_check([IntPolynomial((p * q, 3 * p * q))]) == p
+    assert _prime_factors(-12 * p * q * q * 101**2) == {2, 3, 101, p, q}
+    assert _prime_factors(101**3 * 103) == {101, 103}
+    assert time.process_time() - began < 1.0
+
+
 def test_residue_certificates():
     assert residue_certificate(Y2P1, 5) == {2, 3}
     assert residue_certificate(Y2P1, 3) == set()
@@ -195,6 +206,26 @@ def test_scan_rejections():
         simultaneous_prime_scan([Y2P1], -1)
     with pytest.raises(ValueOverflowError):
         simultaneous_prime_scan([SQ65_1, SQ65_9], 10**9)
+
+
+def test_scan_sends_scales_past_int64_to_the_filter():
+    # c % p on a scale of 2^63 or more overflowed numpy inside the strike
+    wide = IntPolynomial.shifted_square(2**64 + 1, 2)
+    assert simultaneous_prime_scan([wide], 0).hits == [0]  # the value is 5
+    assert simultaneous_prime_scan([IntPolynomial.shifted_square(2**64 + 1, 3)], 0).hits == []
+    assert wide.eval_array(np.zeros(2, dtype=np.int64)).tolist() == [5, 5]
+    assert not shifted_square_fits([(2**64 + 1, 2)], 0)
+    with pytest.raises(ValueError, match="int64"):
+        shifted_square_mask([(2**64 + 1, 2)], 0)
+    top = sieve.MAX_ROOT_PRIME
+    assert not shifted_square_fits([(top, 2)], 0)
+    assert shifted_square_fits([(top - 1, 2)], 0)
+    assert shifted_square_mask([(top - 1, 2)], 0).tolist() == [True]
+    assert simultaneous_prime_scan([IntPolynomial.shifted_square(top, 4)], 0).hits == [0]
+    # |x| past MAX_ROOT_PRIME is refused too; inside, k*p + 1 < 2^63
+    assert not shifted_square_fits([(1, top)], 0)
+    assert shifted_square_fits([(top - 1, -(top - 2))], 1)
+    assert (top - 2) * (top - 1) + 1 < 1 << 63
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goo import oracle, sieve, store
@@ -120,7 +120,56 @@ def test_annotate_roots_known_values():
     block = annotate_roots(np.array([5, 13, 17], dtype=np.int64))
     assert block.p.tolist() == [5, 13, 17]
     assert block.r.tolist() == [2, 5, 4]
-    assert [rec for rec in block] == [(5, 2), (13, 5), (17, 4)]
+    assert list(zip(block.p.tolist(), block.r.tolist())) == [(5, 2), (13, 5), (17, 4)]
+
+
+_MAXP = sieve.MAX_ROOT_PRIME
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([0, 1, 2**14 + 1]),
+    bits=st.integers(0, 40),
+    mod_hi=st.sampled_from([2, 3, 8, 1 << 26, _MAXP]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, bits=0, mod_hi=2, seed=0)
+@example(size=2**14 + 1, bits=40, mod_hi=_MAXP, seed=1)
+@example(size=2**14 + 1, bits=38, mod_hi=_MAXP, seed=2)
+@example(size=2**14 + 1, bits=39, mod_hi=_MAXP, seed=3)
+def test_vector_pow_matches_builtin_pow(size, bits, mod_hi, seed):
+    # every exponent length mod the window width, the largest modulus,
+    # bases that are multiples of their modulus, and leading zero windows
+    rng = np.random.default_rng(seed)
+    mod = rng.integers(2, mod_hi, size, endpoint=True)
+    base = rng.integers(0, 1 << 62, size)
+    exp = rng.integers(0, 1 << bits, size, endpoint=True)
+    edge = slice(0, min(size, 4))
+    mod[edge] = [2, _MAXP, mod_hi, 3][: edge.stop]
+    exp[edge] = [1 << bits, (1 << bits) - (bits > 0), 0, 1 << bits][: edge.stop]
+    base[1::3] = mod[1::3] * rng.integers(0, 4, size)[1::3]
+    got = sieve._vector_pow(base, exp, mod)
+    want = [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
+    assert got.dtype == np.int64 and got.tolist() == want
+    if size:  # the scalar exponent and modulus of the scan's inverse
+        e, m = int(exp[0]), int(mod[-1])
+        got = sieve._vector_pow(base, e, m)
+        assert got.tolist() == [pow(b, e, m) for b in base.tolist()]
+
+
+@pytest.mark.parametrize(
+    "c, phi",
+    [(1, 1), (2, 1), (3, 2), (65, 48), (2**20, 2**19), (3**13, 2 * 3**12),
+     (999_983, 999_982), (3 * 10**9, 8 * 10**8)],
+)
+def test_scale_inverse_matches_builtin_pow(c, phi):
+    assert sieve._totient(c) == phi
+    top = [q for q in range(_MAXP - 2000, _MAXP) if oracle.is_prime_64(q)]
+    p = np.concatenate((small_primes(10**5), np.array(top, dtype=np.int64)))
+    p = p[c % p != 0]
+    assert (c - 1) * int(p[-1]) + 1 < 1 << 63
+    got = sieve._scale_inverse(c, phi, p)
+    assert got.tolist() == [pow(c, -1, q) for q in p.tolist()]
 
 
 def test_annotate_roots_range_guard():
