@@ -176,21 +176,22 @@ def count_table(
     ]
 
 
+def format_columns(head: tuple, cells: list) -> str:
+    """A text table: the header, then one line per row of cells, every
+    column right-justified to its widest entry and columns two spaces apart."""
+    rows = [head, *cells]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in rows)
+
+
 def format_count_table(rows: Iterable[CountTableRow]) -> str:
-    rows = list(rows)
-    head = ("x", "count", "count/sqrt-model", "count/li-model")
-    cells = [
-        (_fmt_power(r.x), str(r.pi_q), f"{r.ratio_f:.5f}", f"{r.ratio_g:.5f}")
-        for r in rows
-    ]
-    widths = [
-        max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-        for i, h in enumerate(head)
-    ]
-    out = ["  ".join(h.rjust(w) for h, w in zip(head, widths))]
-    for c in cells:
-        out.append("  ".join(v.rjust(w) for v, w in zip(c, widths)))
-    return "\n".join(out)
+    return format_columns(
+        ("x", "count", "count/sqrt-model", "count/li-model"),
+        [
+            (_fmt_power(r.x), str(r.pi_q), f"{r.ratio_f:.5f}", f"{r.ratio_g:.5f}")
+            for r in rows
+        ],
+    )
 
 
 def count_table_csv(rows: Iterable[CountTableRow]) -> str:

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -23,7 +24,6 @@ EX_IO = 74
 EX_INTERRUPT = 130
 
 DATA_DIR_ENV = "GOO_DATA_DIR"
-DESK_LIMIT = 10**18
 MAX_DIGITS = 100  # no argument needs more; bounds the int a short "1e..." builds
 
 
@@ -34,6 +34,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse's own failures to exit 64
         raise UsageError(message)
+
+
+@contextmanager
+def _usage_errors(*errors):
+    """Report the block's ``errors``, raised on bad arguments, as usage errors."""
+    try:
+        yield
+    except errors as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_number(text: str) -> int:
@@ -114,15 +123,11 @@ def _progress_writer(quiet: bool):
 
 def _cmd_sieve(args) -> int:
     bound = _parse_number(args.limit)
-    if bound > DESK_LIMIT:
-        raise UsageError(f"--limit above {DESK_LIMIT:.0e} is not supported here")
     seg = _parse_number(args.segment)
-    try:
+    with _usage_errors(ValueError):
         config = sieve.SieveConfig(
             bound_b=bound, segment_len=seg, thread_count=max(1, args.threads)
         )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     out = _data_dir(args.out)
     st = sieve.run_pipeline(
         config, out, resume=args.resume, progress=_progress_writer(args.quiet)
@@ -179,12 +184,10 @@ def _cmd_count(args) -> int:
     if not points:
         raise UsageError("--at needs at least one point")
     limit = store.x_limit(st.manifest.bound_b)
-    try:
+    with _usage_errors(ValueError):  # StreamTooShortError among them
         rows = analytics.count_table(
             st.read_a_stream(), points, covered_to=limit
         )
-    except (analytics.StreamTooShortError, ValueError) as e:
-        raise UsageError(str(e)) from None
     if args.json:
         print(json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}))
     else:
@@ -197,7 +200,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_cq(args) -> int:
     limit = _parse_number(args.prime_limit)
-    computed = analytics.compute_cq(limit)
+    with _usage_errors(ValueError):
+        computed = analytics.compute_cq(limit)
     stored = analytics.DEFAULT_HL_CONSTANT
     print(f"stored   {stored:.13f}")
     print(f"computed {computed:.13f}  (odd primes to {limit})")
@@ -208,10 +212,8 @@ def _cmd_cq(args) -> int:
 def _cmd_hyp(args) -> int:
     if args.hyp_command not in ("check", "scan"):
         raise UsageError("hyp needs a subcommand: check or scan")
-    try:
+    with _usage_errors(ValueError):
         polys = [hypotheses.parse_polynomial(s) for s in args.poly]
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     if args.hyp_command == "check":
         bad = hypotheses.bunyakovsky_check(polys)
         if bad is None:
@@ -220,10 +222,8 @@ def _cmd_hyp(args) -> int:
             print(f"violated {bad}")
         return EX_OK
     limit = _parse_number(args.limit)
-    try:
+    with _usage_errors(ValueError, hypotheses.ValueOverflowError):
         result = hypotheses.simultaneous_prime_scan(polys, limit)
-    except (ValueError, hypotheses.ValueOverflowError) as e:
-        raise UsageError(str(e)) from None
     print(f"hits {result.count}")
     for cp in result.checkpoints:
         print(f"through {cp.y}: {cp.hits} hits, shape constant {cp.fitted_constant:.4f}")
@@ -239,11 +239,9 @@ def _cmd_hyp(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.oracle_command == "a":
         limit = _parse_number(args.limit)
-        try:
+        with _usage_errors(ValueError):
             for a in oracle.brute_a(limit):
                 print(a)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
         return EX_OK
     if args.oracle_command == "prime":
         n = _parse_number(args.n)
@@ -251,10 +249,8 @@ def _cmd_oracle(args) -> int:
         return EX_OK
     if args.oracle_command == "j":
         limit = _parse_number(args.limit)
-        try:
+        with _usage_errors(ValueError):
             members = oracle.brute_a(limit)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
         for n in range(2, len(members) + 1):
             print(f"{n},{members[n - 1]},{oracle.brute_j(members, n)}")
         return EX_OK

@@ -33,9 +33,8 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .analytics import DEFAULT_HL_CONSTANT
-from .sieve import MAX_BOUND
-from .store import SegmentStore, int64_chunks, x_limit
+from .analytics import DEFAULT_HL_CONSTANT, format_columns
+from .store import MAX_BOUND, SegmentStore, int64_chunks, x_limit
 
 CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
@@ -300,18 +299,18 @@ class ChampionTableRow:
     j_over_log_n: float
 
 
-def champion_table(
-    champions: Iterable[ChampionRecord], hl_constant: float = DEFAULT_HL_CONSTANT
-) -> list:
+def champion_table(champions: Iterable[ChampionRecord]) -> list:
     """Annotate champions with the density-model prediction for a_n.
 
     The model says the n-th member sits near (2/C) * n * log2(2n / C)
-    where C is the Hardy-Littlewood constant for this prime family; the
-    last column compares the record offset j against log n.
+    where C is ``DEFAULT_HL_CONSTANT``, the Hardy-Littlewood constant for
+    this prime family; the last column compares the record offset j
+    against log n.
     """
     rows = []
+    c_q = DEFAULT_HL_CONSTANT
     for c in champions:
-        expected = round((2.0 / hl_constant) * c.n * math.log2(2.0 * c.n / hl_constant))
+        expected = round((2.0 / c_q) * c.n * math.log2(2.0 * c.n / c_q))
         rows.append(
             ChampionTableRow(
                 n=c.n,
@@ -325,15 +324,10 @@ def champion_table(
 
 
 def format_champion_table(rows: Iterable[ChampionTableRow]) -> str:
-    rows = list(rows)
-    head = ("n", "a_n", "model a_n", "j", "j/log n")
-    cells = [
-        (str(r.n), str(r.a_n), str(r.expected_a_n), str(r.j), f"{r.j_over_log_n:.2f}")
-        for r in rows
-    ]
-    widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-              for i, h in enumerate(head)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(head, widths))]
-    for c in cells:
-        out.append("  ".join(v.rjust(w) for v, w in zip(c, widths)))
-    return "\n".join(out)
+    return format_columns(
+        ("n", "a_n", "model a_n", "j", "j/log n"),
+        [
+            (str(r.n), str(r.a_n), str(r.expected_a_n), str(r.j), f"{r.j_over_log_n:.2f}")
+            for r in rows
+        ],
+    )

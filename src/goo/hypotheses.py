@@ -24,6 +24,7 @@ import numpy as np
 from .sieve import shifted_square_fits, shifted_square_mask, small_primes
 
 _SCAN_FILTER_LIMIT = 97  # pre-filter removes multiples of primes up to here
+_SCAN_FILTER_CHUNK = 1 << 15  # arguments y per pass of the pre-filter
 # Deterministic for every n < 3.18e23 (the least strong pseudoprime to
 # all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -286,12 +287,7 @@ class ScanResult:
         return len(self.hits)
 
 
-def simultaneous_prime_scan(
-    polys: Sequence[IntPolynomial],
-    y_limit: int,
-    *,
-    chunk: int = 1 << 15,
-) -> ScanResult:
+def simultaneous_prime_scan(polys: Sequence[IntPolynomial], y_limit: int) -> ScanResult:
     """All y in [0, y_limit] where every f_i(y) is prime, values distinct.
 
     Distinctness matters: two polynomials hitting the *same* prime (as
@@ -327,7 +323,7 @@ def simultaneous_prime_scan(
 
     squares = [_as_shifted_square(p) for p in polys]
     if None in squares or not shifted_square_fits(squares, y_limit):
-        hits = _filter_hits(polys, y_limit, chunk)
+        hits = _filter_hits(polys, y_limit)
     else:
         hits = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
     k = len(polys)
@@ -354,12 +350,12 @@ def _as_shifted_square(poly: IntPolynomial) -> Optional[tuple]:
     return (c, s) if d == s * s + 1 else None
 
 
-def _filter_hits(polys: Sequence[IntPolynomial], y_limit: int, chunk: int) -> list:
+def _filter_hits(polys: Sequence[IntPolynomial], y_limit: int) -> list:
     """The y where every value is prime: a residue filter, then a primality test."""
     filter_primes = small_primes(_SCAN_FILTER_LIMIT).tolist()
     hits = []
-    for lo in range(0, y_limit + 1, chunk):
-        y = np.arange(lo, min(lo + chunk, y_limit + 1), dtype=np.int64)
+    for lo in range(0, y_limit + 1, _SCAN_FILTER_CHUNK):
+        y = np.arange(lo, min(lo + _SCAN_FILTER_CHUNK, y_limit + 1), dtype=np.int64)
         values = [p.eval_array(y) for p in polys]
         ok = np.ones(y.size, dtype=bool)
         for v in values:

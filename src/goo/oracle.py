@@ -15,7 +15,8 @@ from .sieve import NoRootFoundError
 # switch to a fixed-witness strong-pseudoprime test.
 _TRIAL_CUTOFF = 10**10
 
-# Deterministic for every n < 3.3e24, which covers the full 64-bit range.
+# Deterministic for every n < 3.18e23 (the least strong pseudoprime to
+# all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _BRUTE_A_CAP = 10**7

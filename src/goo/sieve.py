@@ -35,16 +35,11 @@ from .store import (
     KIND_PRIME,
     ManifestError,
     SegmentStore,
-    a_segment_ranges,
-    prime_segment_ranges,
+    check_geometry,
     x_limit,
 )
 
-MIN_BOUND = 100
-MIN_SEGMENT_LEN = 1 << 10
-MAX_BOUND = 10**18  # keeps every intermediate product inside int64
-
-_ROOT_BASE_CAP = 1000
+_ROOT_BASE_CAP = 1000  # largest base tried for a prime's root of -1
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
@@ -67,29 +62,17 @@ class IncompleteRootStreamError(ValueError):
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Validated knobs for one sieve run."""
+    """Validated knobs for one sieve run; the geometry rules are
+    ``store.check_geometry``'s."""
 
     bound_b: int
     segment_len: int = 1 << 20
     thread_count: int = 1
 
     def __post_init__(self):
-        if self.bound_b < MIN_BOUND:
-            raise ValueError(f"bound_b must be at least {MIN_BOUND}")
-        if self.bound_b > MAX_BOUND:
-            raise ValueError(f"bound_b above {MAX_BOUND:.0e} is not supported")
-        if self.segment_len < MIN_SEGMENT_LEN:
-            raise ValueError(f"segment_len must be at least {MIN_SEGMENT_LEN}")
-        if self.segment_len**4 <= self.bound_b:
-            raise ValueError(
-                "segment_len must exceed the fourth root of bound_b"
-            )
+        check_geometry(self.bound_b, self.segment_len)
         if self.thread_count < 1:
             raise ValueError("thread_count must be positive")
-
-    @property
-    def candidate_limit(self) -> int:
-        return x_limit(self.bound_b)
 
 
 @dataclass
@@ -213,9 +196,9 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
     return x
 
 
-def _root_bases(p: np.ndarray, base_cap: int) -> np.ndarray:
+def _root_bases(p: np.ndarray) -> np.ndarray:
     """Least prime quadratic non-residue mod each p = 1 (mod 4), or 0 when
-    none is at most base_cap.
+    none is at most _ROOT_BASE_CAP.
 
     2 is a non-residue exactly when p = 5 (mod 8). For an odd prime q,
     reciprocity gives (q|p) = (p|q) because p = 1 (mod 4), so q is read
@@ -223,7 +206,7 @@ def _root_bases(p: np.ndarray, base_cap: int) -> np.ndarray:
     """
     base = np.where(p % 8 == 5, 2, 0)
     pending = np.flatnonzero(base == 0)
-    for q in small_primes(base_cap)[1:].tolist():
+    for q in small_primes(_ROOT_BASE_CAP)[1:].tolist():
         if pending.size == 0:
             break
         non_residue = np.ones(q, dtype=bool)
@@ -235,11 +218,7 @@ def _root_bases(p: np.ndarray, base_cap: int) -> np.ndarray:
 
 
 def annotate_roots(
-    primes: np.ndarray,
-    *,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
-    base_cap: int = _ROOT_BASE_CAP,
+    primes: np.ndarray, *, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> PrimeRootBlock:
     """Attach the canonical square root of -1 to each prime = 1 mod 4.
 
@@ -247,8 +226,8 @@ def annotate_roots(
     criterion makes t^2 = -1); q is the least prime non-residue, chosen
     before any exponentiation, so each prime costs one modular power, taken
     by ``_vector_pow`` in slices of _CHUNK primes that stay in cache.
-    Every root is checked, and a failed check or a prime with no base below
-    base_cap raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
+    Every root is checked, and a failed check or a prime with no base up to
+    _ROOT_BASE_CAP raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
     ValueError. Order is preserved and nothing else about the input is
     assumed.
     """
@@ -257,7 +236,7 @@ def annotate_roots(
         raise ValueError(
             f"prime {int(p.max())} above {MAX_ROOT_PRIME}: its squares overflow int64"
         )
-    base = _root_bases(p, base_cap)
+    base = _root_bases(p)
     t = np.empty_like(p)
     for s in range(0, p.size, _CHUNK):  # slices small enough to stay in cache
         c = slice(s, s + _CHUNK)
@@ -265,7 +244,7 @@ def annotate_roots(
     bad = np.flatnonzero((base == 0) | (t * t % p != p - 1))
     if bad.size:
         raise NoRootFoundError(
-            f"no base below {base_cap} yields a root of -1 mod "
+            f"no base up to {_ROOT_BASE_CAP} yields a root of -1 mod "
             f"{int(p[bad[0]])}; composite input or corrupt stream?"
         )
     return PrimeRootBlock(lo=lo, hi=hi, p=p, r=np.minimum(t, p - t))
@@ -323,6 +302,16 @@ def _first_hits(
         yield i, step
 
 
+def _strike(mask: np.ndarray, i: np.ndarray, step: np.ndarray) -> None:
+    """Clear mask[i[k]::step[k]] for every k. The chains with at most one
+    hit in the mask are cleared by one fancy index, each of the rest by a
+    slice."""
+    single = i + step >= mask.size
+    mask[i[single & (i < mask.size)]] = False
+    for i0, st in zip(i[~single].tolist(), step[~single].tolist()):
+        mask[i0::st] = False
+
+
 def sieve_a_segment(
     seg_lo: int,
     seg_hi: int,
@@ -337,8 +326,7 @@ def sieve_a_segment(
     from the first hits that ``_first_hits`` finds (the kernel the fused
     pass shares). A candidate x whose own value x^2 + 1 equals p is the one
     legitimate survivor on its strike chain, so that first hit is skipped.
-    A chain with one hit in the window is cleared by fancy indexing with
-    the others of its chunk, one with more by slicing.
+    Each chunk of chains is cleared by ``_strike``.
 
     The blocks must tile [1, seg_hi) or beyond without holes, starting at 1;
     anything less raises IncompleteRootStreamError. seg_hi above
@@ -369,10 +357,7 @@ def sieve_a_segment(
             for i, step in _first_hits(block, base, n_idx, seg_hi):
                 if stats is not None:
                     stats.strikes += int(np.sum((n_idx - i + step - 1) // step))
-                multi = i + step < n_idx
-                mask[i[~multi]] = False
-                for i0, st in zip(i[multi].tolist(), step[multi].tolist()):
-                    mask[i0::st] = False
+                _strike(mask, i, step)
         if covered >= seg_hi:
             break
     if covered < seg_hi:
@@ -478,12 +463,7 @@ def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
             pc, rc, inv = inverses[c]
             for root in (rc, pc - rc):
                 i = (root - s) % pc * inv % pc
-                live = i < n
-                i, step = i[live], pc[live]
-                single = i + step >= n
-                alive[i[single]] = False
-                for i0, st in zip(i[~single].tolist(), step[~single].tolist()):
-                    alive[i0::st] = False
+                _strike(alive, i, pc)
     own = np.concatenate(own).tolist()
     for c, s in members:
         if c & 1:  # with c even, s is even too (else 2 divides every value)
@@ -518,20 +498,6 @@ def sieve_prime_roots(
         return annotate_roots(sieve_segment_1mod4(lo, hi, base_primes), lo=lo, hi=hi)
 
     yield from _ordered_map(job, ranges, thread_count)
-
-
-def iter_prime_root_blocks(
-    config: SieveConfig, *, block_len: Optional[int] = None
-) -> Iterator[PrimeRootBlock]:
-    """Compute annotated prime-root blocks in memory, tiling [1, x_limit).
-
-    Convenience for store-free use (tests, one-shot scans); the pipeline
-    itself persists blocks through a SegmentStore instead.
-    """
-    seg = block_len if block_len is not None else config.segment_len
-    return sieve_prime_roots(
-        prime_segment_ranges(config.bound_b, seg), thread_count=config.thread_count
-    )
 
 
 class _CandidateStrike:
@@ -590,8 +556,7 @@ class _CandidateStrike:
         """Members of A in [lo, hi), the next segment in order."""
         n = (hi - self.base + 1) // 2
         alive = np.ones(n, dtype=bool)
-        for i0, step in zip(self.small_next.tolist(), self.small_p.tolist()):
-            alive[i0::step] = False
+        _strike(alive, self.small_next, self.small_p)
         i = self.base >> 1
         packed = self.bits[i >> 3 : (i + n + 7) >> 3]
         alive &= np.unpackbits(packed, bitorder="little")[i & 7 : (i & 7) + n].view(bool)
@@ -654,8 +619,7 @@ def run_pipeline(
         store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
     todo = set(store.resume_plan())
 
-    prime_ranges = prime_segment_ranges(config.bound_b, config.segment_len)
-    a_ranges = a_segment_ranges(config.bound_b, config.segment_len)
+    prime_ranges, a_ranges = store.ranges[KIND_PRIME], store.ranges[KIND_A]
     a_todo = [i for i, (lo, hi) in enumerate(a_ranges) if (KIND_A, lo, hi) in todo]
     fresh = sieve_prime_roots(
         [(lo, hi) for lo, hi in prime_ranges if (KIND_PRIME, lo, hi) in todo],

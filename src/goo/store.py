@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from math import isqrt
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -65,6 +65,28 @@ class GapError(StoreError):
 
 # ---------------------------------------------------------------------------
 # geometry
+
+MIN_BOUND = 100
+MAX_BOUND = 10**18  # keeps every intermediate product inside int64
+MIN_SEGMENT_LEN = 1 << 10
+
+
+def check_geometry(bound_b: int, segment_len: int) -> None:
+    """Refuse a run geometry this package does not support, with ValueError.
+
+    Every (bound_b, segment_len) that ``SieveConfig`` takes,
+    ``SegmentStore.create`` writes or a manifest declares passes here first,
+    so the range tilings below stay small and every value they reach stays
+    inside int64.
+    """
+    if bound_b < MIN_BOUND:
+        raise ValueError(f"bound_b must be at least {MIN_BOUND}")
+    if bound_b > MAX_BOUND:
+        raise ValueError(f"bound_b above {MAX_BOUND:.0e} is not supported")
+    if segment_len < MIN_SEGMENT_LEN:
+        raise ValueError(f"segment_len must be at least {MIN_SEGMENT_LEN}")
+    if segment_len**4 <= bound_b:
+        raise ValueError("segment_len must exceed the fourth root of bound_b")
 
 
 def x_limit(bound_b: int) -> int:
@@ -127,14 +149,21 @@ def encode_prime_segment(block: PrimeRootBlock) -> bytes:
     return head + pairs.tobytes()
 
 
-def decode_prime_segment(data: bytes) -> PrimeRootBlock:
+def _header(data: bytes, magic: bytes, what: str) -> tuple:
+    """(lo, hi, count) from the header of a ``what`` segment whose magic
+    must be ``magic``; a short, foreign or newer segment raises."""
     if len(data) < _HEADER.size:
-        raise CorruptSegmentError("prime segment shorter than header")
-    magic, version, lo, hi, count = _HEADER.unpack_from(data)
-    if magic != PRIME_MAGIC:
-        raise CorruptSegmentError(f"bad magic {magic!r}")
+        raise CorruptSegmentError(f"{what} segment shorter than header")
+    found, version, lo, hi, count = _HEADER.unpack_from(data)
+    if found != magic:
+        raise CorruptSegmentError(f"bad magic {found!r}")
     if version != SEGMENT_VERSION:
-        raise VersionMismatchError(f"prime segment version {version}")
+        raise VersionMismatchError(f"{what} segment version {version}")
+    return lo, hi, count
+
+
+def decode_prime_segment(data: bytes) -> PrimeRootBlock:
+    lo, hi, count = _header(data, PRIME_MAGIC, "prime")
     if len(data) != _HEADER.size + 16 * count:
         raise CorruptSegmentError(
             f"prime segment length {len(data)} does not match count {count}"
@@ -151,35 +180,24 @@ def decode_prime_segment(data: bytes) -> PrimeRootBlock:
 
 
 def _encode_deltas(deltas: np.ndarray) -> bytes:
-    """LEB128-style varints: 7 payload bits per byte, high bit = continue."""
-    if deltas.size == 0:
-        return b""
-    top = int(deltas.max())
-    if int(deltas.min()) <= 0:
+    """LEB128 varints: 7 payload bits per byte, high bit = continue.
+
+    A delta takes one byte plus one per threshold 2^7, 2^14, ..., 2^56 it
+    reaches, so up to nine; byte k of every varint longer than k is then
+    written in one pass, from the least significant 7 bits up.
+    """
+    if int(deltas.min(initial=1)) <= 0:
         raise ValueError("deltas must be positive")
-    if top < 1 << 7:
-        return deltas.astype(np.uint8).tobytes()
-    if top < 1 << 21:
-        # vectorized 1-3 byte encoder; gaps never get near 2^21 in practice
-        nbytes = 1 + (deltas >= 1 << 7) + (deltas >= 1 << 14)
-        ends = np.cumsum(nbytes)
-        starts = ends - nbytes
-        buf = np.zeros(int(ends[-1]), dtype=np.uint8)
-        buf[starts] = (deltas & 0x7F) | np.where(nbytes > 1, 0x80, 0)
-        two = nbytes >= 2
-        buf[starts[two] + 1] = ((deltas[two] >> 7) & 0x7F) | np.where(
-            nbytes[two] > 2, 0x80, 0
-        )
-        three = nbytes >= 3
-        buf[starts[three] + 2] = (deltas[three] >> 14) & 0x7F
-        return buf.tobytes()
-    out = bytearray()
-    for d in deltas.tolist():
-        while d >= 0x80:
-            out.append((d & 0x7F) | 0x80)
-            d >>= 7
-        out.append(d)
-    return bytes(out)
+    nbytes = np.ones(deltas.size, dtype=np.int64)
+    for k in range(1, (int(deltas.max(initial=1)).bit_length() + 6) // 7):
+        nbytes += deltas >> 7 * k != 0
+    buf = np.empty(int(nbytes.sum()), dtype=np.uint8)
+    at = np.cumsum(nbytes) - nbytes
+    while at.size:
+        more = nbytes > 1
+        buf[at] = (deltas & 0x7F) | more * 0x80
+        at, deltas, nbytes = at[more] + 1, deltas[more] >> 7, nbytes[more] - 1
+    return buf.tobytes()
 
 
 def _decode_deltas(payload: bytes, expect: int) -> np.ndarray:
@@ -231,13 +249,7 @@ def encode_a_segment(segment: ASegment) -> bytes:
 
 
 def decode_a_segment(data: bytes) -> ASegment:
-    if len(data) < _HEADER.size:
-        raise CorruptSegmentError("a-value segment shorter than header")
-    magic, version, lo, hi, count = _HEADER.unpack_from(data)
-    if magic != A_MAGIC:
-        raise CorruptSegmentError(f"bad magic {magic!r}")
-    if version != SEGMENT_VERSION:
-        raise VersionMismatchError(f"a-value segment version {version}")
+    lo, hi, count = _header(data, A_MAGIC, "a-value")
     if count == 0:
         if len(data) != _HEADER.size:
             raise CorruptSegmentError("empty segment carries payload")
@@ -390,8 +402,9 @@ def parse_manifest(text: str) -> RunManifest:
     try:
         bound_b = int(fields["bound_b"])
         segment_len = int(fields["segment_len"])
-    except ValueError:
-        raise ManifestError("non-integer bound or segment length") from None
+        check_geometry(bound_b, segment_len)
+    except ValueError as e:
+        raise ManifestError(f"bad geometry: {e}") from None
     status = fields["status"]
     if status not in ("in_progress", "complete"):
         raise ManifestError(f"bad status {status!r}")
@@ -432,21 +445,14 @@ class SegmentStore:
     def __init__(self, root: Path, manifest: RunManifest):
         self.root = Path(root)
         self.manifest = manifest
-        self._range_index = {
-            KIND_PRIME: {
-                rng: i
-                for i, rng in enumerate(
-                    prime_segment_ranges(manifest.bound_b, manifest.segment_len)
-                )
-            },
-            KIND_A: {
-                rng: i
-                for i, rng in enumerate(
-                    a_segment_ranges(manifest.bound_b, manifest.segment_len)
-                )
-            },
+        self.ranges = {  # each kind's tiling; prime first, as resume_plan lists
+            KIND_PRIME: prime_segment_ranges(manifest.bound_b, manifest.segment_len),
+            KIND_A: a_segment_ranges(manifest.bound_b, manifest.segment_len),
         }
-        self._a_cache: dict = {}
+        self._range_index = {
+            kind: {rng: i for i, rng in enumerate(ranges)}
+            for kind, ranges in self.ranges.items()
+        }
 
     # -- lifecycle ----------------------------------------------------
 
@@ -454,12 +460,12 @@ class SegmentStore:
     def create(
         cls, root: Union[str, Path], bound_b: int, segment_len: int
     ) -> "SegmentStore":
+        check_geometry(bound_b, segment_len)
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        for stale in root.glob(f"{KIND_PRIME}-*.bin"):
-            stale.unlink()
-        for stale in root.glob(f"{KIND_A}-*.bin"):
-            stale.unlink()
+        for kind in (KIND_PRIME, KIND_A):
+            for stale in root.glob(f"{kind}-*.bin"):
+                stale.unlink()
         manifest = RunManifest(int(bound_b), int(segment_len), "in_progress", [])
         store = cls(root, manifest)
         store._write_manifest()
@@ -471,7 +477,11 @@ class SegmentStore:
         path = root / MANIFEST_NAME
         if not path.is_file():
             raise ManifestError(f"no manifest at {path}")
-        return cls(root, parse_manifest(path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ManifestError(f"manifest at {path} is not UTF-8 text") from None
+        return cls(root, parse_manifest(text))
 
     def _write_manifest(self) -> None:
         _atomic_write(
@@ -522,24 +532,19 @@ class SegmentStore:
             raise CorruptSegmentError(f"digest mismatch in {entry.filename}")
         return data
 
-    def read_prime_blocks(self, upto: Optional[int] = None) -> Iterator[PrimeRootBlock]:
-        """Yield prime-root blocks ascending, digest-checked, tiling from 1.
+    def read_prime_blocks(self) -> Iterator[PrimeRootBlock]:
+        """Yield every prime-root block ascending, digest-checked, tiling from 1.
 
-        Stops once coverage reaches ``upto`` (default: everything present).
         Raises GapError if the blocks on disk do not tile contiguously.
         """
         covered = 1
         for entry in self.manifest.entries_of(KIND_PRIME):
-            if upto is not None and covered >= upto:
-                return
             if entry.lo != covered:
                 raise GapError(
                     f"prime segments jump from {covered} to {entry.lo}"
                 )
             yield decode_prime_segment(self._load(entry))
             covered = entry.hi
-        if upto is not None and covered < upto:
-            raise GapError(f"prime segments end at {covered}, need {upto}")
 
     def read_prime_block(self, lo: int, hi: int) -> PrimeRootBlock:
         """The committed prime-root segment [lo, hi), digest-checked."""
@@ -592,21 +597,11 @@ class SegmentStore:
         """
         return AStream(self, start)
 
-    def entry_values(self, entry: ManifestEntry) -> np.ndarray:
-        """Decoded values of one a-value entry, digest-checked, cached."""
-        hit = self._a_cache.get(entry.filename)
-        if hit is None:
-            hit = decode_a_segment(self._load(entry)).values
-            if len(self._a_cache) >= 8:
-                self._a_cache.pop(next(iter(self._a_cache)))
-            self._a_cache[entry.filename] = hit
-        return hit
-
     def lookup_a(self, value: int) -> bool:
         """Membership test against the stored set, one segment decode away."""
         for entry in self.manifest.entries_of(KIND_A):
             if entry.lo <= value < entry.hi:
-                values = self.entry_values(entry)
+                values = decode_a_segment(self._load(entry)).values
                 i = int(np.searchsorted(values, value))
                 return i < len(values) and int(values[i]) == value
         raise GapError(f"no a-value segment covers {value}")
@@ -614,21 +609,12 @@ class SegmentStore:
     # -- resume -----------------------------------------------------------
 
     def _entry_valid(self, entry: ManifestEntry) -> bool:
-        path = self.root / entry.filename
-        if not path.is_file():
+        magic = PRIME_MAGIC if entry.kind == KIND_PRIME else A_MAGIC
+        try:
+            header = _header(self._load(entry), magic, entry.kind)
+        except StoreError:
             return False
-        data = path.read_bytes()
-        if _sha256(data) != entry.digest:
-            return False
-        if len(data) < _HEADER.size:
-            return False
-        magic, version, lo, hi, count = _HEADER.unpack_from(data)
-        expected = PRIME_MAGIC if entry.kind == KIND_PRIME else A_MAGIC
-        return (
-            magic == expected
-            and version == SEGMENT_VERSION
-            and (lo, hi, count) == (entry.lo, entry.hi, entry.count)
-        )
+        return header == (entry.lo, entry.hi, entry.count)
 
     def resume_plan(self) -> list:
         """(kind, lo, hi) tuples still needing work, prime kind first.
@@ -638,10 +624,7 @@ class SegmentStore:
         """
         plan = []
         by_key = {(e.kind, e.lo, e.hi): e for e in self.manifest.entries}
-        for kind, ranges in (
-            (KIND_PRIME, prime_segment_ranges(self.manifest.bound_b, self.manifest.segment_len)),
-            (KIND_A, a_segment_ranges(self.manifest.bound_b, self.manifest.segment_len)),
-        ):
+        for kind, ranges in self.ranges.items():
             for lo, hi in ranges:
                 entry = by_key.get((kind, lo, hi))
                 if entry is None or not self._entry_valid(entry):

@@ -121,6 +121,15 @@ def test_verify_incomplete_run(tmp_path):
     assert cli.main(["verify", "--data", str(tmp_path / "d")]) == 65
 
 
+def test_verify_damaged_manifest(run_1e6, tmp_path):
+    manifest = (run_1e6 / store.MANIFEST_NAME).read_text()
+    assert "segment_len 1024\n" in manifest
+    (tmp_path / store.MANIFEST_NAME).write_text(
+        manifest.replace("segment_len 1024\n", "segment_len 0\n")
+    )
+    assert cli.main(["verify", "--data", str(tmp_path), "--quiet"]) == 65
+
+
 # -- count --------------------------------------------------------------------
 
 
@@ -161,6 +170,11 @@ def test_cq_output(capsys):
     assert "stored   1.3728134628182" in out
     assert "computed 1.37" in out
     assert "delta" in out
+
+
+def test_cq_bad_prime_limit(capsys):
+    assert cli.main(["cq", "--prime-limit", "2"]) == 64
+    assert "prime_limit must be at least 3" in capsys.readouterr().err
 
 
 # -- hyp ----------------------------------------------------------------------

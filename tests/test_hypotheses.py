@@ -246,7 +246,7 @@ def test_square_strike_matches_filter_path(squares, y_limit):
     family = [IntPolynomial.shifted_square(c, s) for c, s in squares]
     assume(bunyakovsky_check(family) is None)
     struck = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
-    assert struck == _filter_hits(family, y_limit, 1 << 15)
+    assert struck == _filter_hits(family, y_limit)
 
 
 def test_is_prime_64_matches_oracle():

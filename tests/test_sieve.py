@@ -19,9 +19,9 @@ from goo.sieve import (
     SieveConfig,
     SieveStats,
     annotate_roots,
-    iter_prime_root_blocks,
     run_pipeline,
     sieve_a_segment,
+    sieve_prime_roots,
     sieve_segment_1mod4,
     small_primes,
 )
@@ -190,7 +190,8 @@ def test_annotate_roots_rejects_rootless_input():
     with pytest.raises(NoRootFoundError):
         annotate_roots(np.array([5, 21], dtype=np.int64))  # 21 = 3 * 7
     with pytest.raises(NoRootFoundError):
-        annotate_roots(np.array([17], dtype=np.int64), base_cap=2)  # needs 3
+        # a square that is 1 mod 8: no prime below 1000 is a non-residue of it
+        annotate_roots(np.array([9], dtype=np.int64))
 
 
 # -- third sieve --------------------------------------------------------------
@@ -391,9 +392,8 @@ def test_pipeline_resume_rejects_geometry_change(tmp_path):
         )
 
 
-def test_iter_prime_root_blocks_tiles_candidate_space():
-    cfg = SieveConfig(bound_b=10**8, segment_len=1024)
-    blocks = list(iter_prime_root_blocks(cfg))
+def test_sieve_prime_roots_tiles_candidate_space():
+    blocks = list(sieve_prime_roots(store.prime_segment_ranges(10**8, 1024)))
     assert blocks[0].lo == 1
     assert blocks[-1].hi == store.x_limit(10**8)
     for a, b in zip(blocks, blocks[1:]):
@@ -420,7 +420,8 @@ def test_fused_pass_matches_oracle_and_window_sieve(tmp_path, segment_len, brute
         limit = store.x_limit(bound)
         want = [a for a in brute_a_1e5 if a < limit]
         assert list(got) == want, bound
-        window = sieve_a_segment(1, limit, iter_prime_root_blocks(cfg))
+        roots = sieve_prime_roots(store.prime_segment_ranges(bound, segment_len))
+        window = sieve_a_segment(1, limit, roots)
         assert window.values.tolist() == want, bound
     assert want[0] == 1
     for x, p in SELF_HITS.items():

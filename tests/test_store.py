@@ -1,6 +1,8 @@
 import os
 import random
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from goo.store import (
     GapError,
     ManifestError,
     SegmentStore,
+    StoreError,
     VersionMismatchError,
     decode_a_segment,
     decode_prime_segment,
@@ -166,11 +169,12 @@ def test_a_segment_rejects_damage():
         decode_a_segment(encode_a_segment(_a_seg(1, 5, [1, 2, 4, 6])))
 
 
-# each width boundary of the varint code; 2^21 takes the encoder's scalar branch
-BOUNDARY_GAPS = (1, 2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**21 - 1, 2**21)
+# each width boundary of the varint code, from one byte (below 2^7) to nine
+# (2^56 and up); the sums stay below 2^62, so every value fits int64
+BOUNDARY_GAPS = (1, *(2**k + d for k in range(7, 57, 7) for d in (-1, 0, 1)))
 _gaps = hst.lists(
     hst.one_of(hst.sampled_from(BOUNDARY_GAPS), hst.integers(1, 2**22)), max_size=200
-)
+).filter(lambda gaps: sum(gaps) < 2**62)
 
 
 def _encoded(first, gaps):
@@ -182,6 +186,8 @@ def _encoded(first, gaps):
 @given(first=hst.integers(1, 2**40), gaps=_gaps)
 @example(first=1, gaps=list(BOUNDARY_GAPS))
 @example(first=2**40, gaps=[2**21, 1, 2**21 - 1])
+@example(first=2**40, gaps=[2**56, 1, 2**56 - 1, 2**49, 2**42 - 1])
+@example(first=1, gaps=[2**62])
 def test_a_codec_round_trips(first, gaps):
     values, data = _encoded(first, gaps)
     assert decode_a_segment(data).values.tolist() == values
@@ -196,6 +202,8 @@ def _with_count(data, count):
 @given(first=hst.integers(1, 2**40), gaps=_gaps.filter(bool), pick=hst.integers(0, 2**32))
 @example(first=1, gaps=list(BOUNDARY_GAPS), pick=0)
 @example(first=1, gaps=list(BOUNDARY_GAPS), pick=5)
+@example(first=1, gaps=list(BOUNDARY_GAPS), pick=2**31 + 7)
+@example(first=1, gaps=[2**62], pick=3)
 def test_a_codec_refuses_damage(first, gaps, pick):
     values, good = _encoded(first, gaps)
     payload_at = store._HEADER.size + 8
@@ -278,6 +286,71 @@ def test_manifest_parse_rejects_damage():
         parse_manifest(good.replace("prime_root-00000.bin", "../escape.bin"))
     with pytest.raises(ManifestError):
         parse_manifest("goo-manifest 1\nbound_b 100\nstatus complete\n")
+
+
+# every (bound_b, segment_len) that the tests, the benchmark and the demos
+# run or store, each of which must still parse
+USED_GEOMETRIES = (
+    (10**4, 1024), (10**4, 2048), (10**6, 1024), (10**7 + 1, 1024),
+    (10**7 + 1, 2048), (10**7 + 1, 4096), (777_777_777, 1024), (777_777_777, 2048),
+    (777_777_777, 4096), (10**8, 1024), (10**8, 4096), (10**9, 1024), (10**10, 1024),
+    (10**10, 2048), (10**10, 4096), (10**10, 1 << 16), (10**10, 1 << 20),
+    (10**12, 1 << 20), (10**16, 1 << 20), (10**16, 1 << 22), (10**18, 1 << 20),
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("segment_len", 0),  # tiled forever at the parent
+        ("segment_len", -1),
+        ("segment_len", 1023),
+        ("bound_b", 2),
+        ("bound_b", 99),
+        ("bound_b", 10**30),
+        ("bound_b", 1024**4),  # segment_len^4 <= bound_b
+    ],
+)
+def test_manifest_refuses_bad_geometry(field, value):
+    good = serialize_manifest(_manifest())
+    bad = good.replace(f"{field} {getattr(_manifest(), field)}\n", f"{field} {value}\n")
+    assert bad != good
+    with pytest.raises(ManifestError, match="bad geometry"):
+        parse_manifest(bad)
+
+
+def test_manifest_accepts_every_used_geometry():
+    for bound, seg in USED_GEOMETRIES:
+        text = serialize_manifest(store.RunManifest(bound, seg, "complete", []))
+        m = parse_manifest(text)
+        assert (m.bound_b, m.segment_len) == (bound, seg)
+
+
+_damage = hst.one_of(
+    hst.sampled_from(
+        [b"0", b"-1", b"1023", b"2", b"99", b"1" + b"0" * 30, b" ", b"\n", b"\xff"]
+    ),
+    hst.binary(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(at=hst.integers(0, 10**4), width=hst.integers(0, 12), new=_damage)
+@example(at=0, width=0, new=b"\xff")  # not UTF-8: a traceback at the parent
+def test_damaged_manifest_raises_only_store_errors(at, width, new):
+    good = serialize_manifest(_manifest()).encode()
+    at %= len(good) + 1
+    raw = good[:at] + new + good[at + width :]
+    try:
+        parse_manifest(raw.decode("utf-8", "replace"))
+    except StoreError:
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, store.MANIFEST_NAME).write_bytes(raw)
+        try:
+            SegmentStore.open(d)
+        except StoreError:
+            pass
 
 
 # -- the store itself -------------------------------------------------------
