@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from . import analytics, cli, goldbach, hypotheses, oracle, sieve, store
+from . import analytics, goldbach, hypotheses, oracle, sieve, store
 
 __all__ = [
     "analytics",
-    "cli",
     "goldbach",
     "hypotheses",
     "oracle",

@@ -129,9 +129,10 @@ def _cmd_sieve(args) -> int:
             bound_b=bound, segment_len=seg, thread_count=max(1, args.threads)
         )
     out = _data_dir(args.out)
-    st = sieve.run_pipeline(
-        config, out, resume=args.resume, progress=_progress_writer(args.quiet)
-    )
+    with _usage_errors(sieve.ResumeGeometryError):
+        st = sieve.run_pipeline(
+            config, out, resume=args.resume, progress=_progress_writer(args.quiet)
+        )
     total = sum(e.count for e in st.manifest.entries_of(store.KIND_A))
     print(f"values {total}")
     print(f"limit {st.manifest.bound_b}")

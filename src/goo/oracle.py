@@ -11,31 +11,18 @@ from bisect import bisect_left
 
 from .sieve import NoRootFoundError
 
-# Below this, trial division is exact and cheap enough; at or above it we
-# switch to a fixed-witness strong-pseudoprime test.
-_TRIAL_CUTOFF = 10**10
+# Trial division by the primes below _TRIAL_LIMIT decides every n below its
+# square; at or above it a fixed-witness strong-pseudoprime test decides.
+_TRIAL_LIMIT = 200
+_TRIAL_PRIMES = tuple(
+    n for n in range(2, _TRIAL_LIMIT) if all(n % d for d in range(2, n))
+)
 
 # Deterministic for every n < 3.18e23 (the least strong pseudoprime to
 # all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _BRUTE_A_CAP = 10**7
-
-_trial_primes: list | None = None
-
-
-def _trial_prime_table() -> list:
-    """Primes up to sqrt(_TRIAL_CUTOFF), from a plain byte sieve."""
-    global _trial_primes
-    if _trial_primes is None:
-        limit = 10**5
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
-        for i in range(2, int(limit**0.5) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-        _trial_primes = [i for i in range(2, limit + 1) if flags[i]]
-    return _trial_primes
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -57,24 +44,17 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime_64(n: int) -> bool:
     """Exact primality for 0 <= n < 2^64.
 
-    Trial division below 10^10, a deterministic Miller-Rabin witness set
-    above it.
+    Trial division by the primes below 200, which decides every n below
+    200^2; for larger n, a deterministic Miller-Rabin witness set.
     """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n < _TRIAL_CUTOFF:
-        for p in _trial_prime_table():
-            if p * p > n:
-                return True
-            if n % p == 0:
-                return n == p
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return True
-    for a in _MR_WITNESSES:
-        if not _strong_probable_prime(n, a):
-            return False
-    return True
+    return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
 
 
 class NotOneModFourError(ValueError):

@@ -18,7 +18,11 @@ committed right after it. Output is restartable and byte-deterministic.
 ``sieve_a_segment`` is the stand-alone form of stage 3 for one window of
 candidates against a stream of blocks (random windows, tests, references).
 Both find where each prime's chains first hit their candidates with one
-kernel, ``_first_hits``, which works through a block in cache-sized chunks.
+kernel, ``_first_hits``, which works through a block in cache-sized chunks,
+and clear them by stride class. Within a segment, ``_strike`` clears a
+chain of stride below 2^13 by one slice and the rest in vectorised rounds,
+one hit per chain per round; in the fused pass a prime from segment_len/8
+up has all its hits generated on arrival and cleared in a bit mask.
 ``shifted_square_mask`` runs stage 3 over the arguments y of the shifted
 squares (c*y + s)^2 + 1 instead, for the polynomial-family scans.
 """
@@ -45,6 +49,7 @@ MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
 _WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
 _SCAN_BLOCK = 1 << 18  # numbers per block of the shifted-square strike: < _CHUNK pairs
+_SLICE_BELOW = 1 << 13  # _strike slices chains of smaller stride, runs rounds for the rest
 
 
 class NoRootFoundError(ArithmeticError):
@@ -58,6 +63,10 @@ class InsufficientBasePrimesError(ValueError):
 
 class IncompleteRootStreamError(ValueError):
     """Prime-root blocks fail to cover [1, seg_hi) contiguously."""
+
+
+class ResumeGeometryError(ValueError):
+    """A resumed run asks for another bound or segment_len than its store has."""
 
 
 @dataclass(frozen=True)
@@ -303,13 +312,30 @@ def _first_hits(
 
 
 def _strike(mask: np.ndarray, i: np.ndarray, step: np.ndarray) -> None:
-    """Clear mask[i[k]::step[k]] for every k. The chains with at most one
-    hit in the mask are cleared by one fancy index, each of the rest by a
-    slice."""
-    single = i + step >= mask.size
-    mask[i[single & (i < mask.size)]] = False
-    for i0, st in zip(i[~single].tolist(), step[~single].tolist()):
+    """Clear mask[i[k]::step[k]] for every k, i[k] >= 0 and step[k] > 0.
+
+    A chain with stride below _SLICE_BELOW = 2^13 and two or more hits in
+    the mask is cleared by one slice. Every other chain is cleared in
+    rounds: one fancy index over the hits of the chains still in the mask,
+    then one stride on for each, dropping those that pass the end. A chain
+    with stride s has at most mask.size / s + 1 hits, so there are few
+    rounds, and the first is the only one for the chains with a single
+    hit. (The fused pass never brings the largest strides here: from
+    segment_len / 8 up, ``_CandidateStrike`` clears them in its bit mask.)
+    """
+    n = mask.size
+    sliced = (step < _SLICE_BELOW) & (i + step < n)
+    for i0, st in zip(i[sliced].tolist(), step[sliced].tolist()):
         mask[i0::st] = False
+    j, step = i[~sliced], step[~sliced]
+    live = j < n
+    while True:
+        j, step = j[live], step[live]
+        if not j.size:
+            return
+        mask[j] = False
+        j += step
+        live = j < n
 
 
 def sieve_a_segment(
@@ -504,15 +530,22 @@ class _CandidateStrike:
     """The even candidates below ``limit`` that the primes fed so far leave.
 
     Segments are taken in ascending order, from the one starting at
-    ``start``. A prime p >= segment_len / 8 hits a segment at most eight
-    times per root, so when it is fed, all its hits from the next segment
-    up to ``limit`` are generated at once from the first hits that
-    ``_first_hits`` finds, and cleared in a bit-packed mask
-    (bit i is the even candidate 2i; limit/16 bytes), and nothing about it
-    is kept. A smaller prime keeps the index of its next hit instead and
-    strikes each segment by slicing. The split sits near the point where
-    one slice per root and segment (about 1 us of interpreter time) costs
-    as much as the generated hits it replaces (about 50 ns each).
+    ``start``. Primes fall in three stride classes:
+
+    - p >= segment_len / 8 hits a segment at most eight times per root, so
+      when it is fed, all its hits from the next segment up to ``limit``
+      are generated at once from the first hits that ``_first_hits``
+      finds, and cleared in a bit-packed mask (bit i is the even candidate
+      2i; limit/16 bytes), and nothing about it is kept;
+    - a smaller prime keeps the index of its next hit instead, and
+      ``emit`` strikes each segment with ``_strike``: the chains of
+      2^13 <= p < segment_len / 8 in rounds, one fancy index over all of
+      them per round;
+    - and each chain of p < 2^13 by one slice.
+
+    The split at segment_len / 8 sits near the point where carrying a
+    chain from segment to segment costs as much as the generated hits it
+    replaces (about 50 ns each).
     """
 
     def __init__(self, limit: int, segment_len: int, start: int):
@@ -609,7 +642,7 @@ def run_pipeline(
                 store.manifest.bound_b != config.bound_b
                 or store.manifest.segment_len != config.segment_len
             ):
-                raise ValueError(
+                raise ResumeGeometryError(
                     "resume geometry mismatch: store has "
                     f"bound_b={store.manifest.bound_b} "
                     f"segment_len={store.manifest.segment_len}"

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,15 @@ def test_sieve_progress_goes_to_stderr(tmp_path, capsys):
 
 def test_sieve_desk_guard(tmp_path):
     assert cli.main(["sieve", "--limit", "1e19", "--out", str(tmp_path)]) == 64
+
+
+def test_sieve_resume_with_other_geometry_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    assert cli.main(["sieve", "--limit", "1e4", "--segment", "1024", "--out", out,
+                     "--quiet"]) == 0
+    assert cli.main(["sieve", "--limit", "1e4", "--segment", "2048", "--out", out,
+                     "--resume", "--quiet"]) == 64
+    assert "resume geometry mismatch" in capsys.readouterr().err
 
 
 def test_sieve_bad_limit(tmp_path):
@@ -259,3 +272,15 @@ def test_data_dir_required(monkeypatch, capsys):
     monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
     assert cli.main(["verify"]) == 64
     assert cli.DATA_DIR_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["goo.cli", "goo"])
+def test_module_entry_points_run_without_warnings(module):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "oracle", "prime", "5477"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "prime\n", "")

@@ -34,7 +34,7 @@ def test_is_prime_known_values():
 
 
 def test_is_prime_above_trial_cutoff_against_trial_division():
-    # straddle the internal strategy switch at 10^10
+    # straddle the internal strategy switch at 200^2, and 10^10 where it was
     def slow(n):
         if n < 2:
             return False
@@ -46,6 +46,18 @@ def test_is_prime_above_trial_cutoff_against_trial_division():
     assert oracle.is_prime_64(10**12 + 39) == slow(10**12 + 39)
     for n in range(10**10 - 30, 10**10 + 30):
         assert oracle.is_prime_64(n) == slow(n), n
+    for n in range(200**2 - 300, 200**2 + 300):
+        assert oracle.is_prime_64(n) == slow(n), n
+
+
+def test_is_prime_past_the_trial_primes():
+    # composites with no factor below 200 reach the witnesses: 211^2 and
+    # 199 * 211 just above 200^2; 2047 is the least strong pseudoprime to
+    # base 2, caught by trial division
+    for n in (211 * 211, 199 * 211, 2047, 3215031751, 3825123056546413051):
+        assert not oracle.is_prime_64(n), n
+    assert oracle.is_prime_64(199) and oracle.is_prime_64(211)
+    assert oracle.is_prime_64(2**61 - 1)
 
 
 def test_is_prime_semiprimes_near_word_size():

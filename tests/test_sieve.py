@@ -1,3 +1,4 @@
+import hashlib
 import random
 import shutil
 import tempfile
@@ -331,6 +332,67 @@ def test_a_segment_matches_brute_force(brute_a_3000, lo, width, cuts, chunk, dat
         got = sieve_a_segment(lo, hi, iter(blocks)).values.tolist()
     assert got == [a for a in brute_a_3000 if lo <= a < hi]
 
+
+_S = 1 << 13  # the stride where _strike turns from slices to rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.one_of(
+        st.sampled_from([0, 1, 2]), st.integers(0, 3 * _S), st.integers(2 * _S, 3 * _S)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_strike_matches_plain_clear(size, seed, data):
+    # strides on both sides of _SLICE_BELOW, at or past the mask size, and
+    # a fraction of it, so that chains of either class have several hits
+    strides = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 40),
+                st.integers(_S - 40, _S + 40),
+                st.integers(1, 4 * _S),
+                st.integers(1, 8).map(lambda k: max(size // k, 1)),
+            ),
+            max_size=24,
+        )
+    )
+    # a start anywhere, at or past the end, or on the chain that ends at
+    # the mask's last entry
+    starts = [
+        data.draw(
+            st.one_of(
+                st.integers(0, max(size - 1, 0)),
+                st.integers(size, size + 2 * s),
+                st.just((size - 1) % s if size else 0),
+            )
+        )
+        for s in strides
+    ]
+    _check_strike(np.random.default_rng(seed).random(size) < 0.9, starts, strides)
+
+
+def _check_strike(mask, starts, strides):
+    """_strike against a plain-Python clear of the same chains."""
+    want = mask.tolist()
+    for i0, s in zip(starts, strides):
+        for x in range(i0, mask.size, s):
+            want[x] = False
+    sieve._strike(mask, np.array(starts, dtype=np.int64), np.array(strides, dtype=np.int64))
+    assert mask.tolist() == want
+
+
+@pytest.mark.parametrize("size", [0, 1, 3 * _S])
+def test_strike_edge_chains(size):
+    # chains that end on the last entry, in both classes and with one hit,
+    # a chain starting just past the end, and no chains at all
+    for s in (2, _S - 1, _S, _S + 1, size // 2 + 1, size + 1):
+        _check_strike(np.ones(size, dtype=bool), [(size - 1) % s if size else 0], [s])
+    _check_strike(np.ones(size, dtype=bool), [size], [_S])
+    _check_strike(np.ones(size, dtype=bool), [], [])
+
+
 # -- pipeline ----------------------------------------------------------------
 
 
@@ -433,6 +495,40 @@ def test_fused_pass_across_kernel_chunks(tmp_path, brute_a_1e5):
     with mock.patch.object(sieve, "_CHUNK", 5):
         got = run_pipeline(SieveConfig(bound_b=10**8, segment_len=1024), tmp_path / "d")
     assert list(got.read_a_stream()) == [a for a in brute_a_1e5 if a < 10**4]
+
+
+def test_fused_pass_strikes_medium_strides_in_rounds(tmp_path, brute_a_1e5):
+    # at segment_len 2^17 emit carries the primes below 2^14 from segment to
+    # segment, and _strike clears those of stride 2^13 and up in rounds;
+    # x = 94 and x = 110 survive their own chains among them
+    bound, segment_len = 10**12, 1 << 17
+    runs = [
+        run_pipeline(SieveConfig(bound, segment_len, thread_count=t), tmp_path / str(t))
+        for t in (1, 2)
+    ]
+    assert _files(runs[0].root) == _files(runs[1].root)
+    got = list(runs[0].read_a_stream())
+    roots = sieve_prime_roots(store.prime_segment_ranges(bound, segment_len))
+    assert got == sieve_a_segment(1, store.x_limit(bound), roots).values.tolist()
+    assert got[: len(brute_a_1e5)] == brute_a_1e5
+    for x, p in ((94, 8837), (110, 12101)):
+        assert x * x + 1 == p and 1 << 13 <= p < segment_len // 8
+        assert x in got
+
+
+# SHA-256 of manifest.txt, which lists every segment's digest: a change to
+# the strike that moves one byte of a store fails here
+STORE_DIGESTS = {
+    (10**10, 1 << 10): "6d79eb9e9f3a258184cec68fffe8079ee140fbdb3827eff3b5a8f166179d134e",
+    (10**12, 1 << 17): "a27eda21fe96f0daa6936298ce76f53c1d06b4f8739d85ea0e0a513706049f34",
+}
+
+
+@pytest.mark.parametrize("bound, segment_len", sorted(STORE_DIGESTS))
+def test_store_bytes_are_pinned(tmp_path, bound, segment_len):
+    st = run_pipeline(SieveConfig(bound, segment_len), tmp_path / "d")
+    manifest = (st.root / store.MANIFEST_NAME).read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == STORE_DIGESTS[bound, segment_len]
 
 
 def test_fresh_pipeline_reads_no_prime_blocks(tmp_path, monkeypatch):
