@@ -5,7 +5,12 @@ set -euo pipefail
 DATA="${1:-demo-data-cli}"
 
 echo "== sieve: all values with a^2 + 1 prime below 10^10 =="
-goo sieve --limit 1e10 --out "$DATA" --quiet
+# --resume keeps a complete run from an earlier tour; without it, sieve refuses
+goo sieve --limit 1e10 --out "$DATA" --resume --quiet
+
+echo
+echo "== status: what the store holds, read only =="
+goo status --data "$DATA"
 
 echo
 echo "== verify: every member is a sum of two earlier members =="

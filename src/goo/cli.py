@@ -79,6 +79,9 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--quiet", action="store_true")
 
+    p = sub.add_parser("status", help="inspect a store without changing it")
+    p.add_argument("--data", default=None)
+
     p = sub.add_parser("verify", help="check the decomposition property")
     p.add_argument("--data", default=None)
     p.add_argument("--champions", default=None, help="write champion CSV here")
@@ -129,6 +132,11 @@ def _cmd_sieve(args) -> int:
             bound_b=bound, segment_len=seg, thread_count=max(1, args.threads)
         )
     out = _data_dir(args.out)
+    if not args.resume and _holds_complete_run(out):
+        raise UsageError(
+            f"{out} holds a complete run; pass --resume to keep it, "
+            f"or remove {out} to sieve again"
+        )
     with _usage_errors(sieve.ResumeGeometryError):
         st = sieve.run_pipeline(
             config, out, resume=args.resume, progress=_progress_writer(args.quiet)
@@ -137,6 +145,42 @@ def _cmd_sieve(args) -> int:
     print(f"values {total}")
     print(f"limit {st.manifest.bound_b}")
     print(f"segments {len(st.manifest.entries)}")
+    return EX_OK
+
+
+def _holds_complete_run(root: Path) -> bool:
+    try:
+        return store.SegmentStore.open(root).manifest.complete
+    except store.StoreError:  # no manifest, or a damaged one: nothing to keep
+        return False
+
+
+def _cmd_status(args) -> int:
+    """Print what a store holds and what a resume would redo; read only."""
+    st = store.SegmentStore.open(_data_dir(args.data))
+    m = st.manifest
+    listed = {(e.kind, e.lo, e.hi) for e in m.entries}
+    covered = 1  # end of the A segments listed without a gap from x = 1
+    for lo, hi in st.ranges[store.KIND_A]:
+        if (store.KIND_A, lo, hi) not in listed:
+            break
+        covered = hi
+    pending = st.resume_plan()
+    print(f"status {m.status}")
+    print(f"bound {m.bound_b}")
+    print(f"segment_len {m.segment_len}")
+    print(f"coverage x in [1,{covered}) of [1,{store.x_limit(m.bound_b)})")
+    for kind, ranges in st.ranges.items():
+        print(f"segments {kind} {len(m.entries_of(kind))}/{len(ranges)}")
+    print(f"members {sum(e.count for e in m.entries_of(store.KIND_A))}")
+    print(f"pending {len(pending)}")
+    for kind, lo, hi in pending:
+        print(f"pending {kind} [{lo},{hi})")
+    if m.complete and pending:
+        raise store.CorruptSegmentError(
+            f"complete run with {len(pending)} missing or damaged segments; "
+            "repair it with sieve --resume"
+        )
     return EX_OK
 
 
@@ -265,6 +309,7 @@ def dispatch(argv) -> int:
         raise UsageError("a command is required")
     handler = {
         "sieve": _cmd_sieve,
+        "status": _cmd_status,
         "verify": _cmd_verify,
         "count": _cmd_count,
         "cq": _cmd_cq,

@@ -5,7 +5,9 @@ Three stages, each feeding the next:
 1. ``small_primes``  -- classic sieve up to the fourth root of the bound.
 2. ``sieve_segment_1mod4`` + ``annotate_roots`` -- segmented sieve over the
    residue class 1 mod 4 up to the square root of the bound, each surviving
-   prime annotated with its canonical square root of -1.
+   prime annotated with its canonical square root of -1: the least prime
+   non-residue (3 to 13 from one table over p mod 15015) raised to the
+   (p-1)/4 power, in float64 for moduli up to 2^27 and in int64 above.
    ``sieve_prime_roots`` runs the two over a list of ranges.
 3. A sieve over the candidates x themselves: x survives when x^2 + 1 has no
    prime factor below it, i.e. when x avoids both roots of -1 modulo every
@@ -48,6 +50,8 @@ _ROOT_BASE_CAP = 1000  # largest base tried for a prime's root of -1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
 _WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
+# largest modulus _vector_pow reduces in float64: every product stays below 2^53
+_FLOAT_MOD_LIMIT = 1 << 27
 _SCAN_BLOCK = 1 << 18  # numbers per block of the shifted-square strike: < _CHUNK pairs
 _SLICE_BELOW = 1 << 13  # _strike slices chains of smaller stride, runs rounds for the rest
 
@@ -173,19 +177,47 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
     place and one multiply by the table entry of the window's digit,
     gathered with one flat take. There is no per-bit select and no fresh
     array per window.
+
+    The arithmetic follows the moduli. When every m is at most
+    _FLOAT_MOD_LIMIT = 2^27 it runs in float64 on symmetric residues: a
+    product y is reduced by y -= rint(y * (1/m)) * m. The computed quotient
+    is within about 2^-27 of y/m (|y/m| <= 2^25 + 2, two roundings of
+    relative size 2^-53), so every reduced |r| <= m/2 + 1, an integer;
+    every square and table product is then
+    at most (2^26 + 1)^2 < 2^53, and so is the quotient times m, so each
+    product and difference is an exact double. The result returns to
+    [0, m) in int64 once, at the end. Larger moduli reduce with int64 %.
     """
     n = base.size
     exp = np.broadcast_to(exp, base.shape)
-    table = np.empty((1 << _WINDOW, n), dtype=np.int64)
+    if int(np.max(mod, initial=0)) <= _FLOAT_MOD_LIMIT:
+        m = np.asarray(mod, dtype=np.float64)
+        inv = 1.0 / m
+        q = np.empty(n)
+
+        def reduce(y):
+            np.multiply(y, inv, out=q)
+            np.rint(q, out=q)
+            np.multiply(q, m, out=q)
+            y -= q
+
+        table = np.empty((1 << _WINDOW, n))
+    else:
+
+        def reduce(y):
+            y %= mod
+
+        table = np.empty((1 << _WINDOW, n), dtype=np.int64)
     table[0] = 1 % mod
     table[1] = base % mod
+    reduce(table[1])
     for j in range(2, 1 << _WINDOW):
         np.multiply(table[j - 1], table[1], out=table[j])
-        table[j] %= mod
+        reduce(table[j])
     flat = table.ravel()
     cols = np.arange(n, dtype=np.int64)
     digit = np.empty(n, dtype=np.int64)  # flat index of each element's entry
-    entry = np.empty(n, dtype=np.int64)
+    entry = np.empty(n, dtype=table.dtype)
     top = max(int(exp.max(initial=0)).bit_length() - 1, 0) // _WINDOW * _WINDOW
     x = None
     for shift in range(top, -1, -_WINDOW):
@@ -198,11 +230,34 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
             continue
         for _ in range(_WINDOW):
             x *= x
-            x %= mod
+            reduce(x)
         np.take(flat, digit, out=entry)
         x *= entry
-        x %= mod
-    return x
+        reduce(x)
+    if table.dtype == np.int64:
+        return x
+    return x.astype(np.int64) % mod  # symmetric residues back to [0, m)
+
+
+def _non_residues(q: int) -> np.ndarray:
+    """Bool table over k mod the odd prime q: True where k is a non-residue."""
+    table = np.ones(q, dtype=bool)
+    table[np.arange(q) ** 2 % q] = False
+    return table
+
+
+def _least_non_residue_table(primes: Sequence[int]) -> np.ndarray:
+    """uint8 table over n mod the product of the odd ``primes``: the least
+    of them that is a non-residue mod n, or 0 when none is."""
+    n = np.arange(np.prod(primes))
+    table = np.zeros(n.size, dtype=np.uint8)
+    for q in sorted(primes, reverse=True):  # the least is written last
+        table[_non_residues(q)[n % q]] = q
+    return table
+
+
+_BASE_PRIMES = (3, 5, 7, 11, 13)
+_BASE_TABLE = _least_non_residue_table(_BASE_PRIMES)  # over p mod 15015
 
 
 def _root_bases(p: np.ndarray) -> np.ndarray:
@@ -211,16 +266,16 @@ def _root_bases(p: np.ndarray) -> np.ndarray:
 
     2 is a non-residue exactly when p = 5 (mod 8). For an odd prime q,
     reciprocity gives (q|p) = (p|q) because p = 1 (mod 4), so q is read
-    off the residue p mod q without touching p's own arithmetic.
+    off the residue p mod q without touching p's own arithmetic: for 3, 5,
+    7, 11 and 13 at once, from _BASE_TABLE at p mod 15015. Only the ~1.5%
+    of primes left at 0 try the primes from 17 on, one at a time.
     """
-    base = np.where(p % 8 == 5, 2, 0)
+    base = np.where(p & 7 == 5, 2, _BASE_TABLE[p % _BASE_TABLE.size]).astype(np.int64)
     pending = np.flatnonzero(base == 0)
-    for q in small_primes(_ROOT_BASE_CAP)[1:].tolist():
+    for q in small_primes(_ROOT_BASE_CAP)[1 + len(_BASE_PRIMES):].tolist():
         if pending.size == 0:
             break
-        non_residue = np.ones(q, dtype=bool)
-        non_residue[np.arange(q) ** 2 % q] = False
-        hit = non_residue[p[pending] % q]
+        hit = _non_residues(q)[p[pending] % q]
         base[pending[hit]] = q
         pending = pending[~hit]
     return base
@@ -235,7 +290,8 @@ def annotate_roots(
     criterion makes t^2 = -1); q is the least prime non-residue, chosen
     before any exponentiation, so each prime costs one modular power, taken
     by ``_vector_pow`` in slices of _CHUNK primes that stay in cache.
-    Every root is checked, and a failed check or a prime with no base up to
+    Every root is checked in int64 (t*t % p == p - 1), whichever arithmetic
+    the power ran in, and a failed check or a prime with no base up to
     _ROOT_BASE_CAP raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
     ValueError. Order is preserved and nothing else about the input is
     assumed.

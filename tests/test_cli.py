@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goo import analytics, cli, goldbach, store
+from goo import analytics, cli, goldbach, sieve, store
 from goo.records import ASegment
 
 A_BELOW_100 = [1, 2, 4, 6, 10, 14, 16, 20, 24, 26, 36, 40, 54, 56, 66, 74, 84, 90, 94]
@@ -60,6 +61,89 @@ def test_sieve_resume_with_other_geometry_is_usage_error(tmp_path, capsys):
     assert cli.main(["sieve", "--limit", "1e4", "--segment", "2048", "--out", out,
                      "--resume", "--quiet"]) == 64
     assert "resume geometry mismatch" in capsys.readouterr().err
+
+
+def _tree_digest(root: Path) -> dict:
+    """SHA-256 of every file under root, by relative path."""
+    return {
+        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*")) if f.is_file()
+    }
+
+
+def test_sieve_refuses_to_overwrite_a_complete_run(run_1e6, capsys):
+    before = _tree_digest(run_1e6)
+    code = cli.main(["sieve", "--limit", "1e6", "--segment", "1024",
+                     "--out", str(run_1e6), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "--resume" in err and f"remove {run_1e6}" in err
+    assert _tree_digest(run_1e6) == before
+
+
+def test_sieve_restarts_an_unfinished_or_damaged_store(tmp_path):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / store.MANIFEST_NAME).write_text("not a manifest\n")
+    args = ["sieve", "--limit", "1e4", "--segment", "1024", "--out", str(out), "--quiet"]
+    assert cli.main(args) == 0
+    st = store.SegmentStore.open(out)
+    st.manifest.status = "in_progress"
+    st._write_manifest()
+    assert cli.main(args) == 0
+    assert store.SegmentStore.open(out).manifest.complete
+
+
+def test_status_reports_a_store_read_only(run_1e6, capsys):
+    before = _tree_digest(run_1e6)
+    assert cli.main(["status", "--data", str(run_1e6)]) == 0
+    assert _tree_digest(run_1e6) == before
+    assert capsys.readouterr().out.splitlines() == [
+        "status complete",
+        "bound 1000000",
+        "segment_len 1024",
+        "coverage x in [1,1000) of [1,1000)",
+        "segments prime_root 1/1",
+        "segments a_values 1/1",
+        "members 112",
+        "pending 0",
+    ]
+
+
+def test_status_lists_pending_segments(tmp_path, capsys):
+    st = sieve.run_pipeline(sieve.SieveConfig(10**10, 1024), tmp_path / "d")
+    a = st.manifest.entries_of(store.KIND_A)
+    st.manifest.entries.remove(a[3])  # as if the run stopped before it
+    st.manifest.status = "in_progress"
+    st._write_manifest()
+    (st.root / a[5].filename).write_bytes(b"damaged")
+    before = _tree_digest(st.root)
+    assert cli.main(["status", "--data", str(st.root)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert _tree_digest(st.root) == before
+    assert "status in_progress" in out
+    assert f"coverage x in [1,{a[2].hi}) of [1,100000)" in out
+    assert f"segments a_values {len(a) - 1}/{len(a)}" in out
+    assert f"members {sum(e.count for e in a) - a[3].count}" in out
+    assert out[-3:] == [
+        "pending 2",
+        f"pending a_values [{a[3].lo},{a[3].hi})",
+        f"pending a_values [{a[5].lo},{a[5].hi})",
+    ]
+
+
+def test_status_of_a_damaged_store_is_data_error(tmp_path, capsys):
+    st = sieve.run_pipeline(sieve.SieveConfig(10**8, 1024), tmp_path / "d")
+    victim = st.root / st.manifest.entries_of(store.KIND_PRIME)[1].filename
+    victim.write_bytes(victim.read_bytes()[:-1])
+    before = _tree_digest(st.root)
+    assert cli.main(["status", "--data", str(st.root)]) == 65
+    captured = capsys.readouterr()
+    assert "pending 1" in captured.out and "data error" in captured.err
+    assert _tree_digest(st.root) == before
+    (st.root / store.MANIFEST_NAME).write_text("goo-manifest 1\nbound_b 5\n")
+    assert cli.main(["status", "--data", str(st.root)]) == 65
+    assert cli.main(["status", "--data", str(tmp_path / "nope")]) == 65
 
 
 def test_sieve_bad_limit(tmp_path):

@@ -158,6 +158,78 @@ def test_vector_pow_matches_builtin_pow(size, bits, mod_hi, seed):
         assert got.tolist() == [pow(b, e, m) for b in base.tolist()]
 
 
+_FLOAT_TOP = 1 << 27  # the largest modulus of the float64 path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 3, 2**14 + 1]),
+    bits=st.integers(0, 40),
+    mod_hi=st.sampled_from(
+        [1, 2, 3, 1 << 20, _FLOAT_TOP - 1, _FLOAT_TOP, _FLOAT_TOP + 1, 1 << 28]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, bits=0, mod_hi=1, seed=0)
+@example(size=2**14 + 1, bits=40, mod_hi=_FLOAT_TOP, seed=1)
+@example(size=2**14 + 1, bits=38, mod_hi=_FLOAT_TOP, seed=2)
+@example(size=2**14 + 1, bits=39, mod_hi=_FLOAT_TOP - 1, seed=3)
+@example(size=2**14 + 1, bits=40, mod_hi=_FLOAT_TOP + 1, seed=4)
+@example(size=2**14 + 1, bits=40, mod_hi=1 << 28, seed=5)
+def test_vector_pow_float_path_matches_builtin_pow(size, bits, mod_hi, seed):
+    # every modulus at most mod_hi, which is the first one: up to 2^27 the
+    # power runs in float64, above it (2^27 + 1, and 2^28 where float squares
+    # would round) in int64; a third of the bases sit at residue (m - 1)/2
+    # and a third at -(m - 1)/2, the largest symmetric residues
+    rng = np.random.default_rng(seed)
+    mod = rng.integers(1, mod_hi, size, endpoint=True)
+    mod[0] = mod_hi
+    half = (mod - 1) // 2
+    base = rng.integers(0, 1 << 62, size)
+    k = rng.integers(0, 4, size)
+    base[1::3] = (mod * k + half)[1::3]
+    base[2::3] = (mod * (k + 1) - half)[2::3]
+    exp = rng.integers(0, 1 << bits, size, endpoint=True)
+    exp[0] = (1 << bits) - (bits > 0)  # every bit set: no zero windows
+    got = sieve._vector_pow(base, exp, mod)
+    want = [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
+    assert got.dtype == np.int64 and got.tolist() == want
+    e, m = int(exp[-1]), int(mod[0])  # a scalar exponent and modulus
+    got = sieve._vector_pow(base, e, m)
+    assert got.tolist() == [pow(b, e, m) for b in base.tolist()]
+
+
+def _root_bases_by_loop(p: np.ndarray) -> np.ndarray:
+    """Reference for ``sieve._root_bases``: one prime base at a time."""
+    base = np.where(p % 8 == 5, 2, 0)
+    pending = np.flatnonzero(base == 0)
+    for q in small_primes(1000)[1:].tolist():
+        non_residue = np.ones(q, dtype=bool)
+        non_residue[np.arange(q) ** 2 % q] = False
+        hit = non_residue[p[pending] % q]
+        base[pending[hit]] = q
+        pending = pending[~hit]
+    return base
+
+
+def test_root_bases_match_the_plain_loop():
+    # every n = 1 (mod 4) below 10^6, composites and squares included
+    n = np.arange(1, 10**6, 4, dtype=np.int64)
+    assert sieve._root_bases(n).tolist() == _root_bases_by_loop(n).tolist()
+    # primes for which 2, 3, 5, 7, 11 and 13 are all residues: the table
+    # leaves them at 0 and the loop from 17 finds their base
+    lo = 10**12 + 1
+    p = sieve_segment_1mod4(lo, lo + 4 * 10**5, small_primes(10**6 + 1))
+    got = sieve._root_bases(p)
+    assert got.tolist() == _root_bases_by_loop(p).tolist()
+    late = np.flatnonzero(got > 13)
+    assert late.size > 20 and int(got.max()) > 29
+    for q, prime in zip(got[late].tolist(), p[late].tolist()):
+        # Euler's criterion: q is the least prime non-residue
+        assert pow(q, (prime - 1) // 2, prime) == prime - 1
+        assert all(pow(r, (prime - 1) // 2, prime) == 1 for r in (2, 3, 5, 7, 11, 13))
+
+
 @pytest.mark.parametrize(
     "c, phi",
     [(1, 1), (2, 1), (3, 2), (65, 48), (2**20, 2**19), (3**13, 2 * 3**12),
@@ -521,6 +593,7 @@ def test_fused_pass_strikes_medium_strides_in_rounds(tmp_path, brute_a_1e5):
 STORE_DIGESTS = {
     (10**10, 1 << 10): "6d79eb9e9f3a258184cec68fffe8079ee140fbdb3827eff3b5a8f166179d134e",
     (10**12, 1 << 17): "a27eda21fe96f0daa6936298ce76f53c1d06b4f8739d85ea0e0a513706049f34",
+    (10**14, 1 << 12): "ba37abe152e8304d7f2a063c037523350d501f0546b65e173c28dde682e4b41a",
 }
 
 
