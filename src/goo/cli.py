@@ -290,7 +290,9 @@ def _cmd_oracle(args) -> int:
         return EX_OK
     if args.oracle_command == "prime":
         n = _parse_number(args.n)
-        print("prime" if oracle.is_prime_64(n) else "composite")
+        with _usage_errors(ValueError):
+            prime = oracle.is_prime_64(n)
+        print("prime" if prime else "composite")
         return EX_OK
     if args.oracle_command == "j":
         limit = _parse_number(args.limit)

@@ -42,11 +42,14 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 
 
 def is_prime_64(n: int) -> bool:
-    """Exact primality for 0 <= n < 2^64.
+    """Exact primality for 0 <= n < 2^64; n at or above 2^64 raises
+    ValueError.
 
     Trial division by the primes below 200, which decides every n below
     200^2; for larger n, a deterministic Miller-Rabin witness set.
     """
+    if n >= 1 << 64:
+        raise ValueError(f"{n} is not below 2^64")
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:

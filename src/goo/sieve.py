@@ -26,10 +26,11 @@ chain of stride below 2^13 by one slice and the rest in vectorised rounds,
 one hit per chain per round; in the fused pass a prime from segment_len/8
 up has all its hits generated on arrival and cleared in a bit mask.
 ``shifted_square_mask`` runs stage 3 over the arguments y of the shifted
-squares (c*y + s)^2 + 1 instead, for the polynomial-family scans.
+squares (c*y + s)^2 + 1 for family scans, on rays where |c*y + s| grows.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -455,20 +456,6 @@ def sieve_a_segment(
     return ASegment(lo=seg_lo, hi=seg_hi, values=values)
 
 
-def _argument(c: int, s: int, x: int, n: int) -> list:
-    """[y] for the y in [0, n) with c*y + s = x, or [] if there is none."""
-    y, rem = divmod(x - s, c)
-    return [y] if rem == 0 and 0 <= y < n else []
-
-
-def _strike_chain(mask: np.ndarray, start: int, step: int, keep: list) -> None:
-    """Clear mask[start::step] except at ``keep``, positions on that chain."""
-    for y in sorted(keep):
-        mask[start:y:step] = False
-        start = y + step
-    mask[start::step] = False
-
-
 def _totient(c: int) -> int:
     """Euler's phi of c >= 1, by trial division up to sqrt(c)."""
     phi, q = c, 2
@@ -515,15 +502,19 @@ def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
     raises ValueError.
 
     x = c*y + s has x^2 + 1 prime exactly when |x| is in A, so the mask is
-    struck with no primality test: by p = 2 on the odd x, and by each
-    annotated p not dividing c (one that does divides no value) on the
-    chains y = (+-r - s) c^-1 (mod p), with c^-1 from ``_scale_inverse``
-    (phi(c) is found once per scale). A chain keeps the y where x^2 + 1 is
-    its own prime (x = +-1 for p = 2, x = +-r for p = r^2 + 1) wherever
-    that lies, so those few primes strike one chain at a time after the
-    rest. The primes come from ``sieve_prime_roots`` in blocks of 2^18
-    numbers tiling [1, max |x| + 1), under 2^14 pairs each: one cache-sized
-    chunk.
+    struck with no primality test, on at most two rays per member along
+    which |x| = c*i + t grows with i >= 0: mask[z:] from the first y = z
+    with x >= 0, and the reversed mask[z-1::-1]. On a ray, the pair (2, 1)
+    and each annotated p not dividing c (one that does divides no value)
+    strike the chains i = (+-r - t) c^-1 (mod p), c^-1 from
+    ``_scale_inverse``. A chain spares only |x| = r with r^2 + 1 = p, and
+    that is its first hit if any, the one before lying at r - c*p < 0; so
+    it moves one stride on, as in ``_first_hits``. x = 0 gives 1, and is
+    cleared where a ray starts at t = 0. The primes come from
+    ``sieve_prime_roots`` in blocks of 2^18 numbers tiling [1, max |x| + 1),
+    under 2^14 pairs each. A ray skips the blocks whose primes are all past
+    its own max |x|, which is exact: a composite x^2 + 1 has a prime factor
+    at most |x|, and that factor does not divide c.
     """
     if not shifted_square_fits(members, y_limit):
         raise ValueError("family outside the int64 range of the strike")
@@ -531,33 +522,33 @@ def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
     top = _scan_top(members, y_limit)
     phi = {c: _totient(c) for c, _ in members}
     alive = np.ones(n, dtype=bool)
-    own = [np.zeros(0, dtype=np.int64)]  # the r with r^2 + 1 = p
-    ranges = [(lo, min(lo + _SCAN_BLOCK, top)) for lo in range(1, top, _SCAN_BLOCK)]
-    for block in sieve_prime_roots(ranges):
-        self_hit = block.r * block.r + 1 == block.p
-        own.append(block.r[self_hit])
-        inverses = {}  # per scale c: the other pairs with p not dividing c, and c^-1
-        for c, s in members:
-            if c not in inverses:
-                unit = (c % block.p != 0) & ~self_hit
-                pc, rc = block.p[unit], block.r[unit]
-                inverses[c] = pc, rc, _scale_inverse(c, phi[c], pc)
-            pc, rc, inv = inverses[c]
-            for root in (rc, pc - rc):
-                i = (root - s) % pc * inv % pc
-                _strike(alive, i, pc)
-    own = np.concatenate(own).tolist()
+    rays = []  # (c, t, view): view[i] is the y with |x| = c*i + t
     for c, s in members:
-        if c & 1:  # with c even, s is even too (else 2 divides every value)
-            keep = _argument(c, s, 1, n) + _argument(c, s, -1, n)
-            _strike_chain(alive, (s + 1) & 1, 2, keep)
-        for r in own:
-            p = r * r + 1
-            if c % p:
-                for x in (r, -r):
-                    start = (x - s) * pow(c, -1, p) % p
-                    _strike_chain(alive, start, p, _argument(c, s, x, n))
-        alive[_argument(c, s, 0, n)] = False  # x = 0 gives 1
+        z = min(n, max(0, -(s // c)))  # the first y with x >= 0
+        if z < n:
+            t = c * z + s
+            alive[z] &= t != 0  # x = 0 gives 1
+            rays.append((c, t, alive[z:]))
+        if z:
+            rays.append((c, -c * (z - 1) - s, alive[z - 1 :: -1]))
+    two = PrimeRootBlock(lo=2, hi=3, p=np.array([2]), r=np.array([1]))
+    ranges = [(lo, min(lo + _SCAN_BLOCK, top)) for lo in range(1, top, _SCAN_BLOCK)]
+    for block in chain([two], sieve_prime_roots(ranges)):
+        inverses = {}  # per scale c: pairs with c % p != 0, c^-1, those with p = r^2 + 1
+        for c, t, view in rays:
+            if block.lo > c * (view.size - 1) + t:
+                continue
+            if c not in inverses:
+                unit = c % block.p != 0
+                pc, rc = block.p[unit], block.r[unit]
+                sq = np.flatnonzero(rc * rc + 1 == pc)
+                inverses[c] = pc, rc, _scale_inverse(c, phi[c], pc), sq
+            pc, rc, inv, sq = inverses[c]
+            for root in (rc, pc - rc):
+                i = (root - t) % pc * inv % pc
+                own = sq[c * i[sq] + t == rc[sq]]  # first hits at |x| = r
+                i[own] += pc[own]
+                _strike(view, i, pc)
     return alive
 
 

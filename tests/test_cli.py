@@ -324,6 +324,18 @@ def test_oracle_prime(capsys):
     assert capsys.readouterr().out.strip() == "composite"
 
 
+def test_oracle_prime_refuses_numbers_past_64_bits(capsys):
+    # 399165290221 * 798330580441, the least strong pseudoprime to all
+    # twelve witnesses; 2^64 - 59 is the largest 64-bit prime
+    assert cli.main(["oracle", "prime", "318665857834031151167461"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2^64" in captured.err
+    assert cli.main(["oracle", "prime", str(2**64)]) == 64
+    capsys.readouterr()
+    assert cli.main(["oracle", "prime", "18446744073709551557"]) == 0
+    assert capsys.readouterr().out.strip() == "prime"
+
+
 def test_oracle_j(capsys):
     assert cli.main(["oracle", "j", "--limit", "100"]) == 0
     lines = capsys.readouterr().out.splitlines()

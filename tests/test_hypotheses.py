@@ -240,6 +240,11 @@ def test_scan_sends_scales_past_int64_to_the_filter():
 @example(squares=[(1, -60), (3, -6)], y_limit=3000)  # x < 0, and x = 0 at y = 2
 @example(squares=[(65, 1), (65, 9)], y_limit=3000)  # 5 and 13 divide the scale
 @example(squares=[(1, 0), (1, -2)], y_limit=10**5)  # criterion 09's pair
+@example(squares=[(1, -5000)], y_limit=3000)  # every x < 0: no forward ray
+@example(squares=[(1, -1)], y_limit=100)  # 2's own x = -1 reversed; x = 0 at y = 1
+@example(squares=[(5, -10), (1, 0)], y_limit=3000)  # x = 0 inside the range
+@example(squares=[(2, -4)], y_limit=3000)  # an even scale, and x = 0 at y = 2
+@example(squares=[(1000, -10**6), (1000, -999990)], y_limit=3000)  # rays past 2^18
 def test_square_strike_matches_filter_path(squares, y_limit):
     # in the second example (y - 60)^2 + 1 is the prime 17 at y = 56, the
     # fourth hit of 17's chain, which first hits y = 5

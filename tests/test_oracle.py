@@ -60,6 +60,15 @@ def test_is_prime_past_the_trial_primes():
     assert oracle.is_prime_64(2**61 - 1)
 
 
+def test_is_prime_refuses_numbers_past_64_bits():
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    for n in (1 << 64, 318665857834031151167461):
+        with pytest.raises(ValueError, match="2\\^64"):
+            oracle.is_prime_64(n)
+    assert oracle.is_prime_64((1 << 64) - 59)
+    assert not oracle.is_prime_64((1 << 64) - 1)
+
+
 def test_is_prime_semiprimes_near_word_size():
     rng = random.Random(11)
     primes = [p for p in range(10**6, 10**6 + 3000) if oracle.is_prime_64(p)]
