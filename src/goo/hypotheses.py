@@ -323,11 +323,14 @@ def simultaneous_prime_scan(polys: Sequence[IntPolynomial], y_limit: int) -> Sca
 
     squares = [_as_shifted_square(p) for p in polys]
     if None in squares or not shifted_square_fits(squares, y_limit):
-        hits = _filter_hits(polys, y_limit)
+        y = np.array(_filter_hits(polys, y_limit), dtype=np.int64)
     else:
-        hits = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
+        y = np.flatnonzero(shifted_square_mask(squares, y_limit))
+    # keep the y with pairwise distinct values; int64 is exact, as every
+    # value is below 2^63 (the guard above)
+    values = np.sort([p.eval_array(y) for p in polys], axis=0)
+    hits = y[(values[1:] != values[:-1]).all(axis=0)].tolist()
     k = len(polys)
-    hits = [y for y in hits if len({p(y) for p in polys}) == k]
     checkpoints = []
     for m in sorted({10**d for d in range(1, 19) if 10**d <= y_limit} | {y_limit}):
         n = bisect.bisect_right(hits, m)

@@ -7,7 +7,7 @@ exception type is shared: ``sqrt_minus_one`` raises the sieve's
 ``NoRootFoundError``, so one handler covers a missing root of -1 from either.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .sieve import NoRootFoundError
 
@@ -23,6 +23,9 @@ _TRIAL_PRIMES = tuple(
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _BRUTE_A_CAP = 10**7
+
+# the largest list brute_a has built: every a <= _built_limit in A
+_built_limit, _built = 0, []
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -93,14 +96,22 @@ def sqrt_minus_one(p: int, base_cap: int = 1000) -> int:
 
 
 def brute_a(limit: int) -> list:
-    """All a <= limit with a^2+1 prime, by testing every candidate.
+    """All a <= limit with a^2+1 prime, by testing every candidate, as a
+    new list.
 
-    Guarded at 10^7 because the cost is quadratic-ish in the limit; the
-    sieve is the tool for anything larger.
+    Candidates are tested once per process: the largest list built so far
+    is kept, extended from its old limit or cut to a prefix. Guarded at
+    10^7 because the cost is quadratic-ish in the limit; the sieve is the
+    tool for anything larger.
     """
+    global _built_limit
     if limit > _BRUTE_A_CAP:
         raise ValueError(f"brute_a limit {limit} exceeds cap {_BRUTE_A_CAP}")
-    return [a for a in range(1, limit + 1) if is_prime_64(a * a + 1)]
+    if limit > _built_limit:
+        fresh = range(_built_limit + 1, limit + 1)
+        _built.extend([a for a in fresh if is_prime_64(a * a + 1)])
+        _built_limit = limit
+    return _built[: bisect_right(_built, limit)]
 
 
 def brute_j(a_list: list, n: int) -> int:

@@ -3,12 +3,12 @@
 Three stages, each feeding the next:
 
 1. ``small_primes``  -- classic sieve up to the fourth root of the bound.
-2. ``sieve_segment_1mod4`` + ``annotate_roots`` -- segmented sieve over the
-   residue class 1 mod 4 up to the square root of the bound, each surviving
-   prime annotated with its canonical square root of -1: the least prime
-   non-residue (3 to 13 from one table over p mod 15015) raised to the
-   (p-1)/4 power, in float64 for moduli up to 2^27 and in int64 above.
-   ``sieve_prime_roots`` runs the two over a list of ranges.
+2. ``sieve_segment_1mod4`` + ``annotate_roots`` -- the class 1 mod 4 up to
+   the square root of the bound, sieved in segments by ``_strike`` from
+   every base prime's first index at once; each survivor p gets its
+   canonical root of -1, the least prime non-residue (3 to 13 from one
+   table over p mod 15015) to the (p-1)/4 power, in float64 for p up to
+   2^27 and in int64 above. ``sieve_prime_roots`` runs the two over ranges.
 3. A sieve over the candidates x themselves: x survives when x^2 + 1 has no
    prime factor below it, i.e. when x avoids both roots of -1 modulo every
    annotated prime p < x^2 + 1.
@@ -136,7 +136,9 @@ def sieve_segment_1mod4(
     seg_lo must itself be 1 mod 4. The base primes must cover every prime
     up to the square root of seg_hi - 1; if they fall short *and* a prime
     actually hides in the uncovered stretch, the segment would silently
-    keep composites, so that case raises instead.
+    keep composites, so that case raises instead. Each odd base prime p
+    with p^2 < seg_hi strikes z = m*p from the least m >= max(p, seg_lo/p)
+    with m = p (mod 4): all first indices at once, in one ``_strike``.
     """
     if seg_lo < 1 or seg_lo >= seg_hi:
         raise ValueError("need 1 <= seg_lo < seg_hi")
@@ -156,15 +158,10 @@ def sieve_segment_1mod4(
     mask = np.ones(t_hi - t_lo, dtype=bool)
     if t_lo == 0:
         mask[0] = False  # z = 1 is not prime
-    for p in base_primes[1:].tolist():  # 2 never divides 4t + 1
-        if p * p >= seg_hi:
-            break
-        m = max(p, -(-seg_lo // p))
-        m += (p - m) % 4  # multiplier must be p mod 4 for z = 1 mod 4
-        z = m * p
-        if z >= seg_hi:
-            continue
-        mask[(z - 1) // 4 - t_lo :: p] = False
+    p = base_primes[1 : np.searchsorted(base_primes, need, "right")]  # 2 divides no 4t + 1
+    m = np.maximum(p, -(-seg_lo // p))
+    m += (p - m) % 4  # multiplier must be p mod 4 for z = 1 mod 4
+    _strike(mask, (m * p - 1) // 4 - t_lo, p)
     return 4 * (t_lo + np.flatnonzero(mask).astype(np.int64)) + 1
 
 
@@ -377,8 +374,9 @@ def _strike(mask: np.ndarray, i: np.ndarray, step: np.ndarray) -> None:
     then one stride on for each, dropping those that pass the end. A chain
     with stride s has at most mask.size / s + 1 hits, so there are few
     rounds, and the first is the only one for the chains with a single
-    hit. (The fused pass never brings the largest strides here: from
-    segment_len / 8 up, ``_CandidateStrike`` clears them in its bit mask.)
+    hit. It strikes the base primes of ``sieve_segment_1mod4``, the
+    shifted squares and A, where the fused pass never brings strides from
+    segment_len / 8 up: ``_CandidateStrike`` clears those in its bit mask.
     """
     n = mask.size
     sliced = (step < _SLICE_BELOW) & (i + step < n)
@@ -472,12 +470,14 @@ def _scale_inverse(c: int, phi: int, p: np.ndarray) -> np.ndarray:
     """c^-1 mod each prime p not dividing c, where phi is phi(c).
 
     p^phi = 1 (mod c), so k = -p^(phi - 1) mod c makes 1 + k*p a multiple
-    of c, and (1 + k*p)/c is c^-1 mod p: one power modulo c with an
-    exponent below c, however large p is. Needs c < MAX_ROOT_PRIME and
-    (c - 1)*p + 1 < 2^63 for every p.
+    of c, and (1 + k*p)/c is c^-1 mod p: a power modulo c with an exponent
+    below c, however large p is. k depends only on p mod c, so for c up to
+    p.size one power per residue 0..c-1 is read back at p % c; above, each
+    p takes its own. Needs c < MAX_ROOT_PRIME and (c - 1)*p + 1 < 2^63.
     """
-    k = -_vector_pow(p % c, phi - 1, c) % c
-    return (1 + k * p) // c
+    table = c <= p.size
+    k = -_vector_pow(np.arange(c) if table else p % c, phi - 1, c) % c
+    return (1 + (k[p % c] if table else k) * p) // c
 
 
 def _scan_top(members: Sequence[tuple], y_limit: int) -> int:

@@ -245,6 +245,8 @@ def test_scan_sends_scales_past_int64_to_the_filter():
 @example(squares=[(5, -10), (1, 0)], y_limit=3000)  # x = 0 inside the range
 @example(squares=[(2, -4)], y_limit=3000)  # an even scale, and x = 0 at y = 2
 @example(squares=[(1000, -10**6), (1000, -999990)], y_limit=3000)  # rays past 2^18
+@example(squares=[(20000, 10)], y_limit=1000)  # c above a block's prime count
+@example(squares=[(1, 0), (1, -2), (2, 2)], y_limit=100)  # values 2, 2, 17 at y = 1
 def test_square_strike_matches_filter_path(squares, y_limit):
     # in the second example (y - 60)^2 + 1 is the prime 17 at y = 56, the
     # fourth hit of 17's chain, which first hits y = 5
@@ -252,6 +254,8 @@ def test_square_strike_matches_filter_path(squares, y_limit):
     assume(bunyakovsky_check(family) is None)
     struck = np.flatnonzero(shifted_square_mask(squares, y_limit)).tolist()
     assert struck == _filter_hits(family, y_limit)
+    distinct = [y for y in struck if len({p(y) for p in family}) == len(family)]
+    assert simultaneous_prime_scan(family, y_limit).hits == distinct
 
 
 def test_is_prime_64_matches_oracle():

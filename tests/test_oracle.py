@@ -123,6 +123,14 @@ def test_brute_a_prefix():
     assert oracle.brute_a(1) == [1]
 
 
+def test_brute_a_extends_its_list_and_hands_out_copies():
+    first = oracle.brute_a(100)
+    first.append(-1)  # a caller's edit must not reach the kept list
+    assert oracle.brute_a(100) == A_BELOW_100
+    assert oracle.brute_a(2000) == [a for a in range(1, 2001) if oracle.is_prime_64(a * a + 1)]
+    assert oracle.brute_a(0) == [] and oracle.brute_a(99) == A_BELOW_100
+
+
 def test_brute_a_guard():
     with pytest.raises(ValueError):
         oracle.brute_a(10**7 + 1)

@@ -103,6 +103,25 @@ def test_segment_1mod4_base_prime_coverage():
     assert got.tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113]
 
 
+_Q = 1019  # a base prime; its square is 1 mod 4 like every odd square
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(0, 5 * 10**5).map(lambda k: 4 * k + 1), width=st.integers(1, 2**16))
+@example(lo=_Q * _Q - 400, width=400)  # seg_hi = q^2: q strikes nothing
+@example(lo=_Q * _Q - 400, width=401)  # seg_hi = q^2 + 1: q strikes its square
+@example(lo=_Q * _Q, width=1)  # one number, a base prime's square
+@example(lo=5, width=100)  # lo below the largest base prime's square
+@example(lo=10**6 + 1, width=1000)  # lo above it
+@example(lo=2 * 10**6 + 1, width=8)  # most first multiples lie past seg_hi
+@example(lo=10**9 + 1, width=2**16)  # base primes to 31,607: strides >= 2^13 in rounds
+def test_segment_1mod4_matches_oracle(lo, width):
+    # the oracle, not small_primes(hi - 1): near 10^9 that would be a 500 MB sieve
+    hi = lo + width
+    got = sieve_segment_1mod4(lo, hi, small_primes(isqrt(hi - 1) + 1))
+    assert got.tolist() == [n for n in range(lo, hi, 4) if oracle.is_prime_64(n)]
+
+
 # -- root annotation ----------------------------------------------------------
 
 
@@ -232,17 +251,22 @@ def test_root_bases_match_the_plain_loop():
 
 @pytest.mark.parametrize(
     "c, phi",
-    [(1, 1), (2, 1), (3, 2), (65, 48), (2**20, 2**19), (3**13, 2 * 3**12),
-     (999_983, 999_982), (3 * 10**9, 8 * 10**8)],
+    [(1, 1), (2, 1), (3, 2), (65, 48), (5005, 2880), (2**20, 2**19),
+     (3**13, 2 * 3**12), (999_983, 999_982), (3 * 10**9, 8 * 10**8)],
 )
 def test_scale_inverse_matches_builtin_pow(c, phi):
+    # 5005 = 5 * 7 * 11 * 13 leaves many residues mod c that no prime takes
     assert sieve._totient(c) == phi
     top = [q for q in range(_MAXP - 2000, _MAXP) if oracle.is_prime_64(q)]
     p = np.concatenate((small_primes(10**5), np.array(top, dtype=np.int64)))
     p = p[c % p != 0]
     assert (c - 1) * int(p[-1]) + 1 < 1 << 63
-    got = sieve._scale_inverse(c, phi, p)
-    assert got.tolist() == [pow(c, -1, q) for q in p.tolist()]
+    want = [pow(c, -1, q) for q in p.tolist()]
+    assert sieve._scale_inverse(c, phi, p).tolist() == want  # a table when c <= p.size
+    if c > 1:  # slices shorter than c take the power per prime
+        w = min(c - 1, p.size)
+        got = [sieve._scale_inverse(c, phi, p[s : s + w]) for s in range(0, p.size, w)]
+        assert np.concatenate(got).tolist() == want
 
 
 def test_annotate_roots_range_guard():
