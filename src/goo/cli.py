@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     top = _Parser(prog="goo", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("sieve", parents=[], help="sieve all values below a bound")
+    p = sub.add_parser("sieve", help="sieve all values below a bound")
     p.add_argument("--limit", required=True, help="bound on a^2+1, e.g. 1e12")
     p.add_argument("--segment", default=str(1 << 20), help="segment length")
     p.add_argument("--out", default=None, help="output directory")
@@ -128,9 +128,7 @@ def _cmd_sieve(args) -> int:
     bound = _parse_number(args.limit)
     seg = _parse_number(args.segment)
     with _usage_errors(ValueError):
-        config = sieve.SieveConfig(
-            bound_b=bound, segment_len=seg, thread_count=max(1, args.threads)
-        )
+        config = sieve.SieveConfig(bound_b=bound, segment_len=seg, thread_count=args.threads)
     out = _data_dir(args.out)
     if not args.resume and _holds_complete_run(out):
         raise UsageError(

@@ -29,7 +29,7 @@ member at a time, kept as the reference the batch path is tested against.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -54,17 +54,12 @@ class CounterexampleFound(Exception):
         )
 
 
-class ChampionRecord(tuple):
+class ChampionRecord(NamedTuple):
     """(n, a_n, j) for a new record value of j."""
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, a_n: int, j: int):
-        return super().__new__(cls, (n, a_n, j))
-
-    n = property(lambda self: self[0])
-    a_n = property(lambda self: self[1])
-    j = property(lambda self: self[2])
+    n: int
+    a_n: int
+    j: int
 
 
 def _check_next(a: int, last: int) -> None:

@@ -114,20 +114,6 @@ def small_primes(limit: int) -> np.ndarray:
     )
 
 
-def _has_prime_in(lo: int, hi: int, base_primes: np.ndarray) -> bool:
-    """Trial-division scan for a prime in (lo, hi]."""
-    divisors = base_primes.tolist()
-    for n in range(lo + 1, hi + 1):
-        for d in divisors:
-            if d * d > n:
-                return True
-            if n % d == 0:
-                break
-        else:
-            return True
-    return False
-
-
 def sieve_segment_1mod4(
     seg_lo: int, seg_hi: int, base_primes: np.ndarray
 ) -> np.ndarray:
@@ -148,7 +134,7 @@ def sieve_segment_1mod4(
         raise InsufficientBasePrimesError("no base primes supplied")
     top = int(base_primes[-1])
     need = isqrt(seg_hi - 1)
-    if top < need and _has_prime_in(top, need, base_primes):
+    if top < need and small_primes(need)[-1] > top:
         raise InsufficientBasePrimesError(
             f"base primes reach {top}, segment end needs {need}"
         )

@@ -7,9 +7,10 @@ Layout of a run directory:
     a_values-00000.bin      delta-compressed ascending integer segments
 
 Both segment kinds tile [1, R) where R is derived from the run's bound via
-``x_limit``. Every manifest entry carries a SHA-256 digest of the exact file
-bytes; reads verify the digest before decoding, so silent corruption turns
-into a loud ``CorruptSegmentError`` instead of wrong numbers.
+``x_limit``. Readers walk that tiling, not the manifest's, and every read
+passes ``SegmentStore._read``: an unlisted range raises ``GapError``, and a
+missing file, a SHA-256 mismatch or a header naming another range or count
+(a line pointing at another range's file) raises ``CorruptSegmentError``.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import os
 import re
 import struct
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -60,7 +61,7 @@ class CorruptSegmentError(StoreError):
 
 
 class GapError(StoreError):
-    """The manifest's segments do not tile the requested range."""
+    """A range of the run's tiling has no line in the manifest."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +101,20 @@ def x_limit(bound_b: int) -> int:
     return isqrt(bound_b - 2) + 1
 
 
+def _tiling(limit: int, first_hi: int, span: int) -> list:
+    """Ranges [lo, hi) tiling [1, limit): the first ends at first_hi (or
+    limit), each later one is span long, and the last ends at limit."""
+    edges = [1, *range(first_hi, limit, span), limit]
+    return list(zip(edges, edges[1:]))
+
+
 def prime_segment_ranges(bound_b: int, segment_len: int) -> list:
     """Ranges [lo, hi) for the prime-root segments, tiling [1, x_limit).
 
     Boundaries sit at 1 mod 4 so each full segment holds exactly
     segment_len candidates of the form 4t + 1.
     """
-    limit = x_limit(bound_b)
-    span = 4 * segment_len
-    out = []
-    lo = 1
-    while lo < limit:
-        hi = min(lo + span, limit)
-        out.append((lo, hi))
-        lo = hi
-    return out
+    return _tiling(x_limit(bound_b), 1 + 4 * segment_len, 4 * segment_len)
 
 
 def a_segment_ranges(bound_b: int, segment_len: int) -> list:
@@ -123,15 +123,7 @@ def a_segment_ranges(bound_b: int, segment_len: int) -> list:
     Each full segment spans 2 * segment_len integers: segment_len even
     candidates, plus the lone odd candidate x = 1 in the first segment.
     """
-    limit = x_limit(bound_b)
-    span = 2 * segment_len
-    out = []
-    lo = 1
-    while lo < limit:
-        hi = min(span if lo == 1 else lo + span, limit)
-        out.append((lo, hi))
-        lo = hi
-    return out
+    return _tiling(x_limit(bound_b), 2 * segment_len, 2 * segment_len)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +432,7 @@ class SegmentStore:
     Commits are atomic: segment bytes land via temp-file rename, then the
     manifest is rewritten (also via rename) to mention them. A crash
     between the two leaves an orphan file that a resume simply rewrites.
+    Reads walk ``ranges`` through ``_read``; ``resume_plan`` lists failures.
     """
 
     def __init__(self, root: Path, manifest: RunManifest):
@@ -522,63 +515,47 @@ class SegmentStore:
 
     # -- reads ----------------------------------------------------------
 
-    def _load(self, entry: ManifestEntry) -> bytes:
-        path = self.root / entry.filename
+    def _listed(self, kind: str) -> dict:
+        """The manifest's ``kind`` entries keyed by (lo, hi)."""
+        return {(e.lo, e.hi): e for e in self.manifest.entries_of(kind)}
+
+    def _read(self, entries: dict, kind: str, lo: int, hi: int) -> bytes:
+        """The ``kind`` segment [lo, hi)'s bytes: GapError unless ``entries``
+        (from ``_listed``) holds the range, CorruptSegmentError unless its file
+        exists, matches the digest and its header is exactly (lo, hi, count)."""
+        entry = entries.get((lo, hi))
+        if entry is None:
+            raise GapError(f"no {kind} segment [{lo},{hi}) in the manifest")
         try:
-            data = path.read_bytes()
+            data = (self.root / entry.filename).read_bytes()
         except FileNotFoundError:
             raise CorruptSegmentError(f"segment file missing: {entry.filename}") from None
         if _sha256(data) != entry.digest:
             raise CorruptSegmentError(f"digest mismatch in {entry.filename}")
+        magic = PRIME_MAGIC if kind == KIND_PRIME else A_MAGIC
+        if _header(data, magic, kind) != (lo, hi, entry.count):
+            raise CorruptSegmentError(
+                f"{entry.filename} is not the listed [{lo},{hi}) of {entry.count} values"
+            )
         return data
 
     def read_prime_blocks(self) -> Iterator[PrimeRootBlock]:
-        """Yield every prime-root block ascending, digest-checked, tiling from 1.
-
-        Raises GapError if the blocks on disk do not tile contiguously.
-        """
-        covered = 1
-        for entry in self.manifest.entries_of(KIND_PRIME):
-            if entry.lo != covered:
-                raise GapError(
-                    f"prime segments jump from {covered} to {entry.lo}"
-                )
-            yield decode_prime_segment(self._load(entry))
-            covered = entry.hi
+        """Every prime-root block of the tiling, ascending, through ``_read``."""
+        entries = self._listed(KIND_PRIME)
+        for lo, hi in self.ranges[KIND_PRIME]:
+            yield decode_prime_segment(self._read(entries, KIND_PRIME, lo, hi))
 
     def read_prime_block(self, lo: int, hi: int) -> PrimeRootBlock:
-        """The committed prime-root segment [lo, hi), digest-checked."""
-        for entry in self.manifest.entries:
-            if (entry.kind, entry.lo, entry.hi) == (KIND_PRIME, lo, hi):
-                return decode_prime_segment(self._load(entry))
-        raise GapError(f"no prime-root segment [{lo},{hi}) in the manifest")
+        """The committed prime-root segment [lo, hi), checked by ``_read``."""
+        return decode_prime_segment(self._read(self._listed(KIND_PRIME), KIND_PRIME, lo, hi))
 
     def read_a_segments(self, start: int = 1) -> Iterator[ASegment]:
-        """Yield A-value segments whose range ends beyond ``start``.
-
-        The yielded segments must tile [start, x_limit); holes raise GapError.
-        """
-        limit = x_limit(self.manifest.bound_b)
-        want = max(start, 1)
-        covered = None
-        for entry in self.manifest.entries_of(KIND_A):
-            if entry.hi <= want:
-                continue
-            if covered is None:
-                if entry.lo > want:
-                    raise GapError(
-                        f"no a-value segment covers {want} (first is {entry.lo})"
-                    )
-            elif entry.lo != covered:
-                raise GapError(
-                    f"a-value segments jump from {covered} to {entry.lo}"
-                )
-            yield decode_a_segment(self._load(entry))
-            covered = entry.hi
-        if covered is None or covered < limit:
-            raise GapError(
-                f"a-value segments end at {covered}, need {limit}"
-            )
+        """The A-value segments of the tiling ending beyond ``start``, ascending,
+        through ``_read``."""
+        entries = self._listed(KIND_A)
+        for lo, hi in self.ranges[KIND_A]:
+            if hi > start:
+                yield decode_a_segment(self._read(entries, KIND_A, lo, hi))
 
     def read_a_arrays(self, start: int = 1) -> Iterator[np.ndarray]:
         """Yield the stored A values >= start as one int64 array per segment."""
@@ -599,34 +576,20 @@ class SegmentStore:
 
     def lookup_a(self, value: int) -> bool:
         """Membership test against the stored set, one segment decode away."""
-        for entry in self.manifest.entries_of(KIND_A):
-            if entry.lo <= value < entry.hi:
-                values = decode_a_segment(self._load(entry)).values
-                i = int(np.searchsorted(values, value))
-                return i < len(values) and int(values[i]) == value
+        for values in self.read_a_arrays(value):
+            return len(values) > 0 and int(values[0]) == value
         raise GapError(f"no a-value segment covers {value}")
 
     # -- resume -----------------------------------------------------------
 
-    def _entry_valid(self, entry: ManifestEntry) -> bool:
-        magic = PRIME_MAGIC if entry.kind == KIND_PRIME else A_MAGIC
-        try:
-            header = _header(self._load(entry), magic, entry.kind)
-        except StoreError:
-            return False
-        return header == (entry.lo, entry.hi, entry.count)
-
     def resume_plan(self) -> list:
-        """(kind, lo, hi) tuples still needing work, prime kind first.
-
-        A segment is re-listed when it is absent from the manifest, its file
-        is missing, or the stored bytes no longer match their digest.
-        """
+        """(kind, lo, hi) of every range whose ``_read`` fails, prime kind first."""
         plan = []
-        by_key = {(e.kind, e.lo, e.hi): e for e in self.manifest.entries}
         for kind, ranges in self.ranges.items():
+            entries = self._listed(kind)
             for lo, hi in ranges:
-                entry = by_key.get((kind, lo, hi))
-                if entry is None or not self._entry_valid(entry):
+                try:
+                    self._read(entries, kind, lo, hi)
+                except StoreError:
                     plan.append((kind, lo, hi))
         return plan

@@ -146,6 +146,47 @@ def test_status_of_a_damaged_store_is_data_error(tmp_path, capsys):
     assert cli.main(["status", "--data", str(tmp_path / "nope")]) == 65
 
 
+def _swap_first_two(root: Path, kind: str) -> None:
+    """Swap the filename and digest of the manifest's first two ``kind`` lines."""
+    path = root / store.MANIFEST_NAME
+    lines = path.read_text().splitlines()
+    i, j = [n for n, ln in enumerate(lines) if ln.startswith(f"segment {kind} ")][:2]
+    a, b = lines[i].split(), lines[j].split()
+    a[5:], b[5:] = b[5:], a[5:]
+    lines[i], lines[j] = " ".join(a), " ".join(b)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_line_naming_another_segments_file_is_data_error(tmp_path, capsys):
+    # both files stay intact and match the digests beside them; only their
+    # headers show that each line names the other range's file
+    out = str(tmp_path / "d")
+    sieve_args = ["sieve", "--limit", "1e8", "--segment", "1024", "--threads", "1",
+                  "--out", out, "--quiet"]
+    assert cli.main(sieve_args) == 0
+    _swap_first_two(tmp_path / "d", store.KIND_A)
+    for command in (["verify", "--quiet"], ["count", "--at", "1e6"]):
+        assert cli.main([*command, "--data", out]) == 65
+        assert "is not the listed [1,2048)" in capsys.readouterr().err
+    assert cli.main(["status", "--data", out]) == 65
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "pending 2", "pending a_values [1,2048)", "pending a_values [2048,4096)",
+    ]
+    assert cli.main([*sieve_args, "--resume"]) == 0
+    capsys.readouterr()
+    assert cli.main(["count", "--data", out, "--at", "1e6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["pi_q"] == 112
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sieve_bad_thread_count_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "d"
+    code = cli.main(["sieve", "--limit", "1e4", "--threads", threads, "--out", str(out)])
+    assert code == 64
+    assert "thread_count must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sieve_bad_limit(tmp_path):
     assert cli.main(["sieve", "--limit", "abc", "--out", str(tmp_path)]) == 64
     assert cli.main(["sieve", "--limit", "1.5", "--out", str(tmp_path)]) == 64

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import random
+import shutil
 import stat
 import tempfile
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from goo import store
+from goo import sieve, store
 from goo.records import ASegment, PrimeRootBlock
 from goo.store import (
     CorruptSegmentError,
@@ -434,6 +436,95 @@ def test_store_gap_detection(tmp_path):
         list(st.read_a_stream())
     with pytest.raises(GapError):
         st.lookup_a(ranges[1][0] + 2)
+
+
+@pytest.fixture(scope="module")
+def clean_1e8(tmp_path_factory):
+    """A finished run to 10^8 at segment 1024: 3 prime and 5 A segments."""
+    cfg = sieve.SieveConfig(bound_b=10**8, segment_len=1024)
+    st = sieve.run_pipeline(cfg, tmp_path_factory.mktemp("clean") / "d")
+    return st, list(st.read_a_stream())
+
+
+def test_reads_walk_the_runs_tiling(clean_1e8, tmp_path):
+    st, _ = clean_1e8
+    # nothing is stored at or past x_limit, so the stream there is empty
+    assert list(st.read_a_stream(store.x_limit(10**8))) == []
+    assert list(st.read_a_stream(10**6)) == []
+    # an unfinished store's prime blocks end in a GapError, not silently
+    fresh = _make_store(tmp_path, bound=10**8, seg=1024)
+    first, second = fresh.ranges[store.KIND_PRIME][:2]
+    fresh.write_prime_segment(_pr_block(*first, [(5, 2)]))
+    blocks = fresh.read_prime_blocks()
+    assert next(blocks).p.tolist() == [5]
+    with pytest.raises(GapError, match=rf"\[{second[0]},{second[1]}\)"):
+        next(blocks)
+
+
+_damage_ops = hst.lists(
+    hst.tuples(
+        hst.sampled_from(["drop", "duplicate", "swap", "flip"]),
+        hst.integers(0, 2**16), hst.integers(0, 2**16), hst.integers(0, 255),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_damage_ops)
+def test_resume_plan_lists_exactly_the_ranges_that_fail_to_read(clean_1e8, ops):
+    clean, values = clean_1e8
+    own = {  # each range's own file, prime kind first as resume_plan lists
+        (kind, lo, hi): f"{kind}-{i:05d}.bin"
+        for kind, ranges in clean.ranges.items() for i, (lo, hi) in enumerate(ranges)
+    }
+    with tempfile.TemporaryDirectory() as d:
+        st = SegmentStore.open(shutil.copytree(clean.root, Path(d, "run")))
+        entries = st.manifest.entries
+        for op, i, j, byte in ops:
+            if not entries:
+                break
+            i %= len(entries)
+            if op == "drop":
+                del entries[i]
+            elif op == "duplicate":
+                entries.insert(i, entries[i])
+            elif op == "swap":
+                same = [k for k, e in enumerate(entries) if e.kind == entries[i].kind]
+                j = same[j % len(same)]
+                a, b = entries[i], entries[j]
+                entries[i] = dataclasses.replace(a, filename=b.filename, digest=b.digest)
+                entries[j] = dataclasses.replace(b, filename=a.filename, digest=a.digest)
+            else:
+                path = st.root / entries[i].filename
+                raw = bytearray(path.read_bytes())
+                raw[j % len(raw)] ^= 1 + byte % 255
+                path.write_bytes(bytes(raw))
+        st._write_manifest()
+        st = SegmentStore.open(st.root)
+
+        # the damage, modelled: a range fails unless it is listed with its own
+        # file (the last of duplicate lines counts), holding the clean bytes
+        listed = {(e.kind, e.lo, e.hi): e.filename for e in st.manifest.entries}
+        expected = [
+            key for key, name in own.items()
+            if listed.get(key) != name
+            or (st.root / name).read_bytes() != (clean.root / name).read_bytes()
+        ]
+        plan = st.resume_plan()
+        assert plan == expected
+        for kind, ranges in st.ranges.items():
+            for lo, hi in ranges:
+                try:
+                    st._read(st._listed(kind), kind, lo, hi)
+                except StoreError:
+                    assert (kind, lo, hi) in plan
+                else:
+                    assert (kind, lo, hi) not in plan
+        try:
+            assert list(st.read_a_stream()) == values
+        except StoreError:
+            assert any(kind == store.KIND_A for kind, _, _ in plan)
 
 
 def test_store_open_requires_manifest(tmp_path):
