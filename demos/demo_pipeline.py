@@ -24,7 +24,7 @@ def main() -> None:
     t0 = time.perf_counter()
     config = sieve.SieveConfig(bound_b=BOUND, segment_len=1 << 20, thread_count=4)
     st = sieve.run_pipeline(config, data_dir, resume=True)
-    total = sum(e.count for e in st.manifest.entries_of(store.KIND_A))
+    total = sum(n for kind, _, _, n in st.account() if kind == store.KIND_A and n is not None)
     print(f"{total} values in {time.perf_counter() - t0:.2f}s -> {data_dir}/\n")
 
     print("counts against the two density models:")

@@ -139,10 +139,10 @@ def _cmd_sieve(args) -> int:
         st = sieve.run_pipeline(
             config, out, resume=args.resume, progress=_progress_writer(args.quiet)
         )
-    total = sum(e.count for e in st.manifest.entries_of(store.KIND_A))
-    print(f"values {total}")
+    intact = [(kind, count) for kind, _, _, count in st.account() if count is not None]
+    print(f"values {sum(count for kind, count in intact if kind == store.KIND_A)}")
     print(f"limit {st.manifest.bound_b}")
-    print(f"segments {len(st.manifest.entries)}")
+    print(f"segments {len(intact)}")
     return EX_OK
 
 
@@ -157,20 +157,18 @@ def _cmd_status(args) -> int:
     """Print what a store holds and what a resume would redo; read only."""
     st = store.SegmentStore.open(_data_dir(args.data))
     m = st.manifest
-    listed = {(e.kind, e.lo, e.hi) for e in m.entries}
-    covered = 1  # end of the A segments listed without a gap from x = 1
-    for lo, hi in st.ranges[store.KIND_A]:
-        if (store.KIND_A, lo, hi) not in listed:
-            break
-        covered = hi
-    pending = st.resume_plan()
+    rows = st.account()
+    pending = [(kind, lo, hi) for kind, lo, hi, count in rows if count is None]
+    intact = [(kind, count) for kind, _, _, count in rows if count is not None]
+    limit = store.x_limit(m.bound_b)
+    covered = next((lo for kind, lo, _ in pending if kind == store.KIND_A), limit)
     print(f"status {m.status}")
     print(f"bound {m.bound_b}")
     print(f"segment_len {m.segment_len}")
-    print(f"coverage x in [1,{covered}) of [1,{store.x_limit(m.bound_b)})")
+    print(f"coverage x in [1,{covered}) of [1,{limit})")
     for kind, ranges in st.ranges.items():
-        print(f"segments {kind} {len(m.entries_of(kind))}/{len(ranges)}")
-    print(f"members {sum(e.count for e in m.entries_of(store.KIND_A))}")
+        print(f"segments {kind} {sum(k == kind for k, _ in intact)}/{len(ranges)}")
+    print(f"members {sum(count for kind, count in intact if kind == store.KIND_A)}")
     print(f"pending {len(pending)}")
     for kind, lo, hi in pending:
         print(f"pending {kind} [{lo},{hi})")

@@ -29,6 +29,8 @@ up has all its hits generated on arrival and cleared in a bit mask.
 squares (c*y + s)^2 + 1 for family scans, on rays where |c*y + s| grows.
 """
 
+import fcntl
+import os
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
@@ -658,62 +660,72 @@ def run_pipeline(
     only missing or corrupt segments are recomputed. ``thread_count``
     threads sieve and annotate prime blocks ahead of the strike. Output
     bytes depend only on (bound_b, segment_len), not on thread count or
-    interruption history.
+    interruption history. While it runs it holds a flock on ``data_dir``;
+    a second writer gets OSError.
     """
 
     def tell(entry) -> None:
         if progress is not None:
             progress(f"commit {entry.kind} [{entry.lo},{entry.hi}) count={entry.count}")
 
-    if resume:
-        try:
-            store = SegmentStore.open(data_dir)
-        except ManifestError:
-            store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
-        else:
-            if (
-                store.manifest.bound_b != config.bound_b
-                or store.manifest.segment_len != config.segment_len
-            ):
-                raise ResumeGeometryError(
-                    "resume geometry mismatch: store has "
-                    f"bound_b={store.manifest.bound_b} "
-                    f"segment_len={store.manifest.segment_len}"
-                )
-            store.manifest.status = "in_progress"
-    else:
-        store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
-    todo = set(store.resume_plan())
-
-    prime_ranges, a_ranges = store.ranges[KIND_PRIME], store.ranges[KIND_A]
-    a_todo = [i for i, (lo, hi) in enumerate(a_ranges) if (KIND_A, lo, hi) in todo]
-    fresh = sieve_prime_roots(
-        [(lo, hi) for lo, hi in prime_ranges if (KIND_PRIME, lo, hi) in todo],
-        thread_count=config.thread_count,
-    )
-    k, a_end = (a_todo[0], a_todo[-1] + 1) if a_todo else (0, 0)
-    if a_todo:
-        strike = _CandidateStrike(
-            x_limit(config.bound_b), config.segment_len, a_ranges[k][0]
-        )
-    for lo, hi in prime_ranges:
-        if (KIND_PRIME, lo, hi) in todo:
-            block = next(fresh)
-            tell(store.write_prime_segment(block))
-        elif k < a_end:
-            block = store.read_prime_block(lo, hi)
-        if k >= a_end:
-            continue
-        strike.feed(block)
-        while k < a_end and a_ranges[k][1] <= hi:
-            a_lo, a_hi = a_ranges[k]
-            if (KIND_A, a_lo, a_hi) in todo:
-                tell(store.write_a_segment(strike.emit(a_lo, a_hi)))
+    os.makedirs(data_dir, exist_ok=True)
+    lock = os.open(data_dir, os.O_RDONLY)
+    try:
+        try:  # the directory itself, so no lock file joins the run's files
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"another goo sieve is writing to {data_dir}") from None
+        if resume:
+            try:
+                store = SegmentStore.open(data_dir)
+            except ManifestError:
+                store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
             else:
-                strike.skip(a_hi)
-            k += 1
+                if (
+                    store.manifest.bound_b != config.bound_b
+                    or store.manifest.segment_len != config.segment_len
+                ):
+                    raise ResumeGeometryError(
+                        "resume geometry mismatch: store has "
+                        f"bound_b={store.manifest.bound_b} "
+                        f"segment_len={store.manifest.segment_len}"
+                    )
+                store.manifest.status = "in_progress"
+        else:
+            store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
+        todo = set(store.resume_plan())
 
-    store.finalize()
+        prime_ranges, a_ranges = store.ranges[KIND_PRIME], store.ranges[KIND_A]
+        a_todo = [i for i, (lo, hi) in enumerate(a_ranges) if (KIND_A, lo, hi) in todo]
+        fresh = sieve_prime_roots(
+            [(lo, hi) for lo, hi in prime_ranges if (KIND_PRIME, lo, hi) in todo],
+            thread_count=config.thread_count,
+        )
+        k, a_end = (a_todo[0], a_todo[-1] + 1) if a_todo else (0, 0)
+        if a_todo:
+            strike = _CandidateStrike(
+                x_limit(config.bound_b), config.segment_len, a_ranges[k][0]
+            )
+        for lo, hi in prime_ranges:
+            if (KIND_PRIME, lo, hi) in todo:
+                block = next(fresh)
+                tell(store.write_prime_segment(block))
+            elif k < a_end:
+                block = store.read_prime_block(lo, hi)
+            if k >= a_end:
+                continue
+            strike.feed(block)
+            while k < a_end and a_ranges[k][1] <= hi:
+                a_lo, a_hi = a_ranges[k]
+                if (KIND_A, a_lo, a_hi) in todo:
+                    tell(store.write_a_segment(strike.emit(a_lo, a_hi)))
+                else:
+                    strike.skip(a_hi)
+                k += 1
+
+        store.finalize()
+    finally:
+        os.close(lock)
     if progress is not None:
         progress("complete")
     return store

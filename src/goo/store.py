@@ -8,9 +8,10 @@ Layout of a run directory:
 
 Both segment kinds tile [1, R) where R is derived from the run's bound via
 ``x_limit``. Readers walk that tiling, not the manifest's, and every read
-passes ``SegmentStore._read``: an unlisted range raises ``GapError``, and a
-missing file, a SHA-256 mismatch or a header naming another range or count
-(a line pointing at another range's file) raises ``CorruptSegmentError``.
+passes ``SegmentStore._read``: a range listed never or more than once raises
+``GapError``, and a missing file, a SHA-256 mismatch or a header naming
+another range or count (a line pointing at another range's file) raises
+``CorruptSegmentError``. ``SegmentStore.account`` is that check's one walk.
 """
 
 import hashlib
@@ -61,7 +62,7 @@ class CorruptSegmentError(StoreError):
 
 
 class GapError(StoreError):
-    """A range of the run's tiling has no line in the manifest."""
+    """A range of the run's tiling has no line, or more than one, in the manifest."""
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +428,13 @@ def _sha256(data: bytes) -> str:
 
 
 class SegmentStore:
-    """One sieve run's directory. Single writer; readers are thread-safe.
+    """One sieve run's directory. Single writer, enforced by the lock that
+    ``sieve.run_pipeline`` holds on the directory; readers are thread-safe.
 
     Commits are atomic: segment bytes land via temp-file rename, then the
     manifest is rewritten (also via rename) to mention them. A crash
     between the two leaves an orphan file that a resume simply rewrites.
-    Reads walk ``ranges`` through ``_read``; ``resume_plan`` lists failures.
+    Reads and ``account`` walk ``ranges`` through ``_read``.
     """
 
     def __init__(self, root: Path, manifest: RunManifest):
@@ -516,16 +518,21 @@ class SegmentStore:
     # -- reads ----------------------------------------------------------
 
     def _listed(self, kind: str) -> dict:
-        """The manifest's ``kind`` entries keyed by (lo, hi)."""
-        return {(e.lo, e.hi): e for e in self.manifest.entries_of(kind)}
+        """The manifest's ``kind`` entries keyed by (lo, hi); a range listed
+        more than once maps to None, since no line of it can be trusted."""
+        entries = {}
+        for e in self.manifest.entries_of(kind):
+            entries[e.lo, e.hi] = None if (e.lo, e.hi) in entries else e
+        return entries
 
     def _read(self, entries: dict, kind: str, lo: int, hi: int) -> bytes:
         """The ``kind`` segment [lo, hi)'s bytes: GapError unless ``entries``
-        (from ``_listed``) holds the range, CorruptSegmentError unless its file
-        exists, matches the digest and its header is exactly (lo, hi, count)."""
+        (from ``_listed``) holds the range once, CorruptSegmentError unless its
+        file exists, matches the digest and its header is exactly (lo, hi, count)."""
         entry = entries.get((lo, hi))
         if entry is None:
-            raise GapError(f"no {kind} segment [{lo},{hi}) in the manifest")
+            how = "more than once" if (lo, hi) in entries else "nowhere"
+            raise GapError(f"{kind} segment [{lo},{hi}) is listed {how} in the manifest")
         try:
             data = (self.root / entry.filename).read_bytes()
         except FileNotFoundError:
@@ -580,16 +587,23 @@ class SegmentStore:
             return len(values) > 0 and int(values[0]) == value
         raise GapError(f"no a-value segment covers {value}")
 
-    # -- resume -----------------------------------------------------------
+    # -- accounting -------------------------------------------------------
 
-    def resume_plan(self) -> list:
-        """(kind, lo, hi) of every range whose ``_read`` fails, prime kind first."""
-        plan = []
+    def account(self) -> list:
+        """(kind, lo, hi, count) for every range of the tiling, prime kind
+        first, ascending; count is None where ``_read`` fails."""
+        rows = []
         for kind, ranges in self.ranges.items():
             entries = self._listed(kind)
             for lo, hi in ranges:
                 try:
                     self._read(entries, kind, lo, hi)
+                    count = entries[lo, hi].count
                 except StoreError:
-                    plan.append((kind, lo, hi))
-        return plan
+                    count = None
+                rows.append((kind, lo, hi, count))
+        return rows
+
+    def resume_plan(self) -> list:
+        """(kind, lo, hi) of every range whose ``_read`` fails, prime kind first."""
+        return [(kind, lo, hi) for kind, lo, hi, count in self.account() if count is None]

@@ -1,4 +1,5 @@
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -123,8 +124,8 @@ def test_status_lists_pending_segments(tmp_path, capsys):
     assert _tree_digest(st.root) == before
     assert "status in_progress" in out
     assert f"coverage x in [1,{a[2].hi}) of [1,100000)" in out
-    assert f"segments a_values {len(a) - 1}/{len(a)}" in out
-    assert f"members {sum(e.count for e in a) - a[3].count}" in out
+    assert f"segments a_values {len(a) - 2}/{len(a)}" in out
+    assert f"members {sum(e.count for e in a) - a[3].count - a[5].count}" in out
     assert out[-3:] == [
         "pending 2",
         f"pending a_values [{a[3].lo},{a[3].hi})",
@@ -176,6 +177,53 @@ def test_a_line_naming_another_segments_file_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["count", "--data", out, "--at", "1e6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["pi_q"] == 112
+
+
+def test_a_range_listed_twice_is_data_error_until_resume_repairs_it(tmp_path, capsys):
+    out = tmp_path / "d"
+    sieve_args = ["sieve", "--limit", "1e8", "--segment", "1024", "--threads", "1",
+                  "--out", str(out), "--quiet"]
+    assert cli.main(sieve_args) == 0
+    clean = _tree_digest(out)
+    path = out / store.MANIFEST_NAME
+    lines = path.read_text().splitlines()
+    first_a = next(n for n, ln in enumerate(lines) if ln.startswith("segment a_values "))
+    lines.insert(first_a, lines[first_a])
+    path.write_text("\n".join(lines) + "\n")
+    for command in (["verify", "--quiet"], ["count", "--at", "1e6"]):
+        assert cli.main([*command, "--data", str(out)]) == 65
+        assert "[1,2048) is listed more than once" in capsys.readouterr().err
+    assert cli.main(["status", "--data", str(out)]) == 65
+    status = capsys.readouterr().out.splitlines()
+    # neither line is trusted: the range counts as pending, not twice
+    assert "coverage x in [1,1) of [1,10000)" in status
+    assert "segments a_values 4/5" in status
+    assert "members 629" in status  # 841 below 10^4, less the 212 of [1,2048)
+    assert status[-2:] == ["pending 1", "pending a_values [1,2048)"]
+    assert cli.main([*sieve_args, "--resume"]) == 0
+    assert "values 841" in capsys.readouterr().out
+    assert _tree_digest(out) == clean  # one line per range again
+
+
+def test_a_second_writer_is_refused_with_io_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    sieve_args = ["sieve", "--limit", "1e4", "--segment", "1024", "--out", str(out),
+                  "--quiet"]
+    st = sieve.run_pipeline(sieve.SieveConfig(10**4, 1024), out)
+    st.manifest.status = "in_progress"  # so a fresh sieve would start over
+    st._write_manifest()
+    before = _tree_digest(out)
+    held = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for extra in ([], ["--resume"]):
+            assert cli.main([*sieve_args, *extra]) == 74
+            err = capsys.readouterr().err
+            assert f"another goo sieve is writing to {out}" in err
+            assert _tree_digest(out) == before
+    finally:
+        os.close(held)
+    assert cli.main(sieve_args) == 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -725,3 +725,36 @@ def test_kill_and_resume_give_identical_bytes(clean_1e9, kills, threads):
                 pass
         run_pipeline(cfg, tmp, resume=True)
         assert _files(tmp) == clean_1e9
+
+
+def test_a_crash_at_any_rename_resumes_to_identical_bytes(tmp_path, monkeypatch):
+    # 10^8 at segment_len 1024 renames 18 times: the fresh manifest, then each
+    # of 8 segments and the manifest naming it, then the complete manifest.
+    # A crash at a rename leaves its .tmp file behind, and the resume runs in
+    # this process, so a lock kept by the crashed run would refuse it.
+    cfg = SieveConfig(bound_b=10**8, segment_len=1024, thread_count=1)
+    real_replace = store.os.replace
+    renames = []
+
+    def crash_at(k):
+        def replace(src, dst):
+            renames.append(dst)
+            if len(renames) == k:
+                raise _Kill
+            real_replace(src, dst)
+
+        return replace
+
+    with monkeypatch.context() as m:
+        m.setattr(store.os, "replace", crash_at(0))
+        clean = _files(run_pipeline(cfg, tmp_path / "clean").root)
+    assert len(renames) == 18
+    for k in range(1, 19):
+        renames.clear()
+        work = tmp_path / f"crash-{k}"
+        with monkeypatch.context() as m:
+            m.setattr(store.os, "replace", crash_at(k))
+            with pytest.raises(_Kill):
+                run_pipeline(cfg, work)
+        run_pipeline(cfg, work, resume=True)
+        assert _files(work) == clean, f"crash at rename {k}"

@@ -4,6 +4,7 @@ import random
 import shutil
 import stat
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -503,12 +504,13 @@ def test_resume_plan_lists_exactly_the_ranges_that_fail_to_read(clean_1e8, ops):
         st._write_manifest()
         st = SegmentStore.open(st.root)
 
-        # the damage, modelled: a range fails unless it is listed with its own
-        # file (the last of duplicate lines counts), holding the clean bytes
+        # the damage, modelled: a range fails unless it is listed exactly once,
+        # with its own file, holding the clean bytes
+        lines = Counter((e.kind, e.lo, e.hi) for e in st.manifest.entries)
         listed = {(e.kind, e.lo, e.hi): e.filename for e in st.manifest.entries}
         expected = [
             key for key, name in own.items()
-            if listed.get(key) != name
+            if lines[key] != 1 or listed[key] != name
             or (st.root / name).read_bytes() != (clean.root / name).read_bytes()
         ]
         plan = st.resume_plan()
@@ -525,6 +527,24 @@ def test_resume_plan_lists_exactly_the_ranges_that_fail_to_read(clean_1e8, ops):
             assert list(st.read_a_stream()) == values
         except StoreError:
             assert any(kind == store.KIND_A for kind, _, _ in plan)
+
+
+def test_account_counts_each_range_of_the_tiling_once(clean_1e8, tmp_path):
+    clean, values = clean_1e8
+    counts = {(e.kind, e.lo, e.hi): e.count for e in clean.manifest.entries}
+    tiling = [(kind, lo, hi) for kind, ranges in clean.ranges.items() for lo, hi in ranges]
+    assert clean.account() == [(*key, counts[key]) for key in tiling]
+    assert sum(n for kind, _, _, n in clean.account() if kind == store.KIND_A) == len(values)
+    # a range listed twice and a damaged file each read None; the rest keep counts
+    st = SegmentStore.open(shutil.copytree(clean.root, tmp_path / "d"))
+    a = st.manifest.entries_of(store.KIND_A)
+    st.manifest.entries.append(a[1])
+    st._write_manifest()
+    (st.root / a[3].filename).write_bytes(b"damaged")
+    broken = {(e.kind, e.lo, e.hi) for e in (a[1], a[3])}
+    assert SegmentStore.open(st.root).account() == [
+        (*key, None if key in broken else counts[key]) for key in tiling
+    ]
 
 
 def test_store_open_requires_manifest(tmp_path):
