@@ -13,14 +13,22 @@ bitset over even values (bit i stands for 2i, and bit 0 for the
 member 1; an odd x > 1 is never a member, since x^2 + 1 is even). It spans
 every value below ``VALUE_LIMIT``, but only the pages holding set bits
 become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5 MB at
-10^18. A chunk's bits are set first, then its members are resolved offset
-by offset: for k = 1, 2, ... every member still unresolved tests
-a_n - a_{n-k} against the bitset at once. Every difference is below its
-own a_n, so the chunk's later members cannot answer for earlier ones. The
-last ``TAIL`` members carry over to the next chunk; a member whose j lies
-beyond them walks the bitset downward, which is the whole member set, so
-no store is read. Observed j values are small (the record below 10^16 is
-52).
+10^18. A chunk's bits are set first, by OR-ing one packed copy of the
+bytes its members span. Every difference is below its own a_n, so the
+chunk's later members cannot answer for earlier ones.
+
+The chunk's members sit contiguously after the carried tail, so for each
+of the first ``SLICED`` offsets k, a_n - a_{n-k} for all of them is one
+slice subtraction, with no gather. A difference below ``TABLE`` is read
+from a bool table over d, built from the bitset's first bytes while the
+stream is still below TABLE; a larger one from the bitset. At 10^16, 85%
+of the members resolve within three offsets, and no tested difference
+exceeds 1,306. The rest, and any odd value, go on offset by offset: for
+k = SLICED + 1, ... (odd values from k = 1) every value still unresolved
+tests a_n - a_{n-k} at once. The last ``TAIL`` members carry over to the
+next chunk; a value whose j lies beyond them walks the bitset downward,
+which is the whole member set, so no store is read. Observed j values are
+small (the record below 10^16 is 52).
 
 ``VerifierState`` and ``j_of`` are the scalar form of the same rule, one
 member at a time, kept as the reference the batch path is tested against.
@@ -38,6 +46,8 @@ from .store import MAX_BOUND, SegmentStore, int64_chunks, x_limit
 
 CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
+SLICED = 3  # offsets tested for every member of a chunk, as slices of it
+TABLE = 1 << 16  # differences below this are read from a bool table
 # No value stored for a supported bound reaches this, and the bitset covers
 # exactly the values below it, so anything larger is refused, never indexed.
 VALUE_LIMIT = x_limit(MAX_BOUND)
@@ -145,6 +155,39 @@ def _members_of(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
     return found & (((d & 1) == 0) | (d == 1))
 
 
+def _small_members(bits: np.ndarray) -> np.ndarray:
+    """Bool table over d < TABLE: member 1 at 1, bit i at 2i, odd d > 1 False."""
+    table = np.zeros(TABLE, bool)
+    table[::2] = np.unpackbits(bits[: TABLE >> 4], bitorder="little")
+    table[1] = table[0]
+    return table
+
+
+def _hits(bits: np.ndarray, table: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_members_of`` for differences d >= 1: the table below TABLE, the
+    bitset from there on (d clipped to TABLE - 1, odd, reads False first)."""
+    if d.max() < TABLE:
+        return table[d]
+    hit = table[np.minimum(d, TABLE - 1)]
+    big = np.flatnonzero(d >= TABLE)
+    hit[big] = _members_of(bits, d[big])
+    return hit
+
+
+def _mark(bits: np.ndarray, i: np.ndarray) -> None:
+    """Set the ascending bit indices i. A dense run ORs in one packed copy
+    of the bytes it spans; a run sparser than one bit per four bytes, which
+    no stored segment is, sets its bits one by one and allocates no span."""
+    lo = int(i[0]) >> 3
+    span = (int(i[-1]) >> 3) - lo + 1
+    if span > 4 * i.size:
+        np.bitwise_or.at(bits, i >> 3, (1 << (i & 7)).astype(np.uint8))
+        return
+    run = np.zeros(8 * span, bool)
+    run[i - 8 * lo] = True
+    bits[lo : lo + span] |= np.packbits(run, bitorder="little")
+
+
 def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     """(values, j) per chunk of the stream, from its second member on.
 
@@ -158,6 +201,7 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     # last / 16 bytes, ever become resident. It never grows, so it is never
     # copied and leaves no freed blocks behind in the heap.
     bits = np.zeros((VALUE_LIMIT >> 4) + 1, np.uint8)
+    table = None
     tail = np.zeros(0, np.int64)
     last = 0
     for chunk in int64_chunks(values, CHUNK):
@@ -169,32 +213,54 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
         vals = chunk[:stop]
         if vals.size:
             is_mem = ((vals & 1) == 0) | (vals == 1)
-            i = vals[is_mem] >> 1
-            np.bitwise_or.at(bits, i >> 3, (1 << (i & 7)).astype(np.uint8))
+            mem = vals[is_mem]
+            if mem.size:
+                _mark(bits, mem >> 1)
+            if vals[0] < TABLE:  # this chunk may set bits the table reads
+                table = _small_members(bits)
 
-            # known: the carried tail, then this chunk's members;
-            # pos[i]: how many of them lie below vals[i]
-            known = np.concatenate((tail, vals[is_mem]))
-            pos = tail.size + np.cumsum(is_mem) - is_mem
-            first = 0 if last else 1  # member #1 has no offset
+            # known: the carried tail, then this chunk's members, so member
+            # q of the chunk sits at known[t + q] and a_n - a_{n-k} for all
+            # of them is one slice subtraction. miss: no offset tested yet
+            # decomposes the member; jm: 1 + the rounds it missed, which is
+            # its least offset once it hits
+            t = tail.size
+            known = np.concatenate((tail, mem))
+            miss = np.ones(mem.size, bool)
+            jm = np.ones(mem.size, np.uint8)
+            for k in range(1, SLICED + 1):
+                s = max(0, k - t)  # members with fewer than k below them
+                if s < mem.size:
+                    d = mem[s:] - known[t - k + s : t - k + mem.size]
+                    miss[s:] &= ~_hits(bits, table, d)
+                jm += miss
+            jm *= ~miss
             j = np.zeros(vals.size, np.int64)
-            todo = np.arange(first, vals.size)
+            j[is_mem] = jm
+
+            # the rest offset by offset; odd values, never tested above,
+            # from k = 1 (a member missed there misses again).
+            # p: how many known members lie below each value still to do
+            first = 0 if last else 1  # member #1 has no offset
+            todo = first + np.flatnonzero(j[first:] == 0)
+            p = t + todo - np.searchsorted(np.flatnonzero(~is_mem), todo)
+            k = SLICED + 1 if is_mem.all() else 1
             walk = []
-            k = 1
             while todo.size:
-                p = pos[todo]
                 gone = int(np.searchsorted(p, k))  # p ascends with todo
                 if gone:
-                    walk.extend(todo[:gone].tolist())
+                    walk.extend(zip(todo[:gone].tolist(), p[:gone].tolist()))
                     todo, p = todo[gone:], p[gone:]
-                hit = _members_of(bits, vals[todo] - known[p - k])
+                    if not todo.size:
+                        break
+                hit = _hits(bits, table, vals[todo] - known[p - k])
                 j[todo[hit]] = k
-                todo = todo[~hit]
+                todo, p = todo[~hit], p[~hit]
                 k += 1
             oldest = int(known[0])
-            for w in walk:
+            for w, below in walk:
                 a = int(vals[w])
-                for off, m in enumerate(_members_below(bits, oldest), start=int(pos[w]) + 1):
+                for off, m in enumerate(_members_below(bits, oldest), start=below + 1):
                     if _is_member(bits, a - m):
                         j[w] = off
                         break
@@ -260,15 +326,15 @@ def verify_stream(
                 progress(f"verified through member #{n} = {vals[n - count - 1]}")
         if missing.size:
             raise CounterexampleFound(count + done + 1, int(vals[done]))
-        record = np.maximum.accumulate(np.concatenate(([max_j], j)))
-        for i in np.flatnonzero(j > record[:-1]).tolist():
-            champions.append(ChampionRecord(count + i + 1, int(vals[i]), int(j[i])))
-        max_j = int(record[-1])
-        offsets, tally = np.unique(j, return_counts=True)
-        hist.update(dict(zip(offsets.tolist(), tally.tolist())))
+        if j.max() > max_j:
+            record = np.maximum.accumulate(np.concatenate(([max_j], j)))
+            for i in np.flatnonzero(j > record[:-1]).tolist():
+                champions.append(ChampionRecord(count + i + 1, int(vals[i]), int(j[i])))
+            max_j = int(record[-1])
+        hist.update(dict(enumerate(np.bincount(j).tolist())))
         count += j.size
         last = int(vals[-1])
-    hist = dict(sorted(hist.items()))
+    hist = {k: n for k, n in sorted(hist.items()) if n}
     return VerificationReport(
         members=count,
         verified=count - 1,

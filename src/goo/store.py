@@ -169,6 +169,13 @@ def decode_prime_segment(data: bytes) -> PrimeRootBlock:
             raise CorruptSegmentError("prime outside declared range")
         if np.any(np.diff(p) <= 0):
             raise CorruptSegmentError("primes not strictly ascending")
+        if p[-1] >= x_limit(MAX_BOUND):
+            raise CorruptSegmentError("prime beyond every supported run")
+        # the canonical root: 1 <= r <= (p - 1) / 2, so r * r < 2^60
+        if np.any((r < 1) | (2 * r >= p)):
+            raise CorruptSegmentError("root outside [1, (p - 1) / 2]")
+        if np.any((r * r + 1) % p):
+            raise CorruptSegmentError("root is not a square root of -1 mod p")
     return PrimeRootBlock(lo=lo, hi=hi, p=p, r=r)
 
 
@@ -258,7 +265,9 @@ def decode_a_segment(data: bytes) -> ASegment:
     if count > 1:
         np.cumsum(deltas, out=values[1:])
         values[1:] += first
-    if values[0] < lo or values[-1] >= hi:
+    # each delta is below 2^63, so a running sum that passes int64 wraps
+    # negative where it first does, and the least value shows it
+    if values.min() < lo or values[-1] >= hi:
         raise CorruptSegmentError("value outside declared range")
     return ASegment(lo=lo, hi=hi, values=values)
 

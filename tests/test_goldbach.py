@@ -1,9 +1,11 @@
 import bisect
 import io
 import math
+import random
 import shutil
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,8 +136,9 @@ def _scalar_run(values, every):
 
 
 def _tiny(chunk, tail):
-    """Shrink the batch geometry, so boundaries and the bitset walk run."""
-    return mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail)
+    """Shrink the batch geometry, so boundaries, the bitset walk and the
+    bitset lookup of differences past the small table run."""
+    return mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail, TABLE=16)
 
 
 @pytest.mark.parametrize("chunk, tail", [(7, 3), (1, 1), (64, 5)])
@@ -162,7 +165,7 @@ def _streams(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_streams(), st.integers(1, 9), st.integers(1, 6), st.integers(1, 5))
+@given(_streams(), st.integers(1, 64), st.integers(1, 6), st.integers(1, 5))
 def test_batch_matches_scalar_reference(values, chunk, tail, every):
     state, failure, want = _scalar_run(values, every)
     seen = []
@@ -178,6 +181,40 @@ def test_batch_matches_scalar_reference(values, chunk, tail, every):
             assert report.champions == state.champions
             assert report.j_histogram == dict(sorted(state.j_histogram.items()))
     assert seen == want
+
+
+def test_differences_across_the_table_bound_match_scalar_reference():
+    # members 2^k - e (each 2^(k-1) plus 2^(k-1) - e) reach 2^16 from below,
+    # then each value lies a seeded jump of about 2^16 past the one before:
+    # the first offsets test differences on both sides of TABLE, members
+    # and not, and a value no earlier member decomposes is drawn again
+    assert goldbach.TABLE == 1 << 16
+    top = 1 << 16
+    values = sorted({1, 2, 4, 6, 10, 14, top + 2, top + 4}
+                    | {(1 << k) - e for k in range(3, 17) for e in (0, 2, 4)})
+    rng = random.Random(19)
+    while len(values) < 90:
+        a = values[-1] + top + rng.choice((-6, -4, -2, -1, 0, 1, 2, 4, 6, 8))
+        if any(a - m in values for m in values):
+            values.append(a)
+    state, failure, _ = _scalar_run(values, len(values))
+    assert failure is None and max(state.j_histogram) > goldbach.SLICED
+    for chunk, tail in ((goldbach.CHUNK, goldbach.TAIL), (7, 3)):
+        with mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail):
+            report = verify_stream(values)
+        assert report.members == state.count
+        assert report.champions == state.champions
+        assert report.j_histogram == dict(sorted(state.j_histogram.items()))
+
+
+@pytest.mark.parametrize("gap", [1, 3, 16, 33, 40_000])
+def test_mark_sets_exactly_the_given_bits(gap):
+    # dense runs go through one packed span, sparse ones bit by bit
+    i = np.cumsum(np.random.default_rng(gap).integers(1, gap + 1, 300)) + 7
+    bits = np.zeros(int(i[-1]) // 8 + 9, np.uint8)
+    bits[0] = 0x80  # a bit set before stays set
+    goldbach._mark(bits, i)
+    assert np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist() == [7, *i.tolist()]
 
 
 def test_values_beyond_supported_runs_are_refused():

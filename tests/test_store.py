@@ -110,6 +110,26 @@ def test_prime_segment_rejects_damage():
         decode_prime_segment(outside)
 
 
+def test_prime_segment_refuses_roots_that_are_not_canonical():
+    (block,) = sieve.sieve_prime_roots([(1, 1025)])
+    p, r = block.p, block.r
+    assert np.array_equal(decode_prime_segment(encode_prime_segment(block)).r, r)
+    # r + 2p is still a root of x^2 + 1 mod p, and it changes what the A
+    # sieve strikes: 115 members of [1, 1025) instead of 114
+    shifted = dataclasses.replace(block, r=r + 2 * p)
+    assert len(sieve.sieve_a_segment(1, 1025, [block])) == 114
+    assert len(sieve.sieve_a_segment(1, 1025, [shifted])) == 115
+    one = np.arange(r.size) == 17
+    for bad in (r + 2 * p, p - r, r + one, np.where(one, 0, r), np.where(one, -r, r)):
+        damaged = encode_prime_segment(dataclasses.replace(block, r=bad))
+        with pytest.raises(CorruptSegmentError, match="root"):
+            decode_prime_segment(damaged)
+    # a prime past every supported run, whose root would overflow int64 squared
+    beyond = store.x_limit(store.MAX_BOUND) + 4
+    with pytest.raises(CorruptSegmentError, match="supported"):
+        decode_prime_segment(encode_prime_segment(_pr_block(1, 2**40, [(beyond, 1)])))
+
+
 # -- a-value segment codec --------------------------------------------------
 
 
@@ -170,6 +190,15 @@ def test_a_segment_rejects_damage():
     # values must sit inside the declared range
     with pytest.raises(CorruptSegmentError):
         decode_a_segment(encode_a_segment(_a_seg(1, 5, [1, 2, 4, 6])))
+
+
+def test_a_segment_refuses_deltas_that_wrap_int64():
+    # 1 + (2^63 - 1) wraps to -2^63, and two more deltas bring the last
+    # value back inside the declared [1, 100)
+    head = store._HEADER.pack(b"GOOA", 1, 1, 100, 4) + (1).to_bytes(8, "little")
+    data = head + store._encode_deltas(np.array([2**63 - 1, 2**63 - 1, 7]))
+    with pytest.raises(CorruptSegmentError, match="outside declared range"):
+        decode_a_segment(data)
 
 
 # each width boundary of the varint code, from one byte (below 2^7) to nine
