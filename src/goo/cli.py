@@ -67,6 +67,14 @@ def _data_dir(explicit) -> Path:
     raise UsageError(f"--data/--out required (or set {DATA_DIR_ENV})")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, which a CPU-limited container narrows; else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="goo", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
@@ -75,7 +83,13 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", required=True, help="bound on a^2+1, e.g. 1e12")
     p.add_argument("--segment", default=str(1 << 20), help="segment length")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=_usable_cpus(),
+        help="sieving threads, at most the CPUs the process may run on "
+        "(default: all of those); each keeps two blocks in flight",
+    )
     p.add_argument("--resume", action="store_true")
     p.add_argument("--quiet", action="store_true")
 
@@ -129,6 +143,8 @@ def _cmd_sieve(args) -> int:
     seg = _parse_number(args.segment)
     with _usage_errors(ValueError):
         config = sieve.SieveConfig(bound_b=bound, segment_len=seg, thread_count=args.threads)
+    # more threads than CPUs add blocks in flight, not speed
+    config = dataclasses.replace(config, thread_count=min(args.threads, _usable_cpus()))
     out = _data_dir(args.out)
     if not args.resume and _holds_complete_run(out):
         raise UsageError(

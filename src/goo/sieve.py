@@ -301,6 +301,15 @@ def annotate_roots(
     return PrimeRootBlock(lo=lo, hi=hi, p=p, r=np.minimum(t, p - t))
 
 
+def _mod_ascending(base: int, m: np.ndarray, out: np.ndarray) -> None:
+    """out = base mod m, for m ascending and positive: one remainder over
+    the prefix with m <= base, and base itself past it, where it is
+    already reduced. Every entry lands in [0, m)."""
+    k = int(m.searchsorted(m.dtype.type(base), "right"))  # a Python int would cast m
+    np.remainder(base, m[:k], out=out[:k])
+    out[k:] = base
+
+
 def _first_hits(
     block: PrimeRootBlock, base: int, n: int, top: int
 ) -> Iterator[tuple]:
@@ -312,38 +321,51 @@ def _first_hits(
     past base lie at i = ((e - base) mod 2p) >> 1 and ((-e - base) mod 2p)
     >> 1. A hit is live when i < n; x = r with r^2 + 1 = p is the one
     survivor on its own chain, so that hit moves one stride on. Pairs are
-    taken in chunks of 2^14 through buffers reused per chunk, so the
-    arithmetic stays in cache; each chunk yields arrays (i, p) with one
-    entry per live chain.
+    taken in chunks of 2^14, copied into buffers reused per chunk, so the
+    arithmetic stays in cache; each chunk yields int64 arrays (i, p) with
+    one entry per live chain.
+
+    One dtype rule: the arithmetic runs in int32 when top <= 2^30 and
+    base < 2^30, else in int64. In int32, p < 2^30, so 2p, e, base mod 2p
+    and both signed offsets in (-2p, 2p) fit, at half the bytes per pair.
+    Every run the store takes is int32, its x below x_limit(10^18) = 10^9;
+    int64 keeps wider windows up to MAX_ROOT_PRIME exact. The blocks stay
+    int64, because their users square r in the block's own dtype; only
+    the live hits return to int64, so the own-value test x * x + 1 == p
+    and the strikes see what they saw before. base mod 2p is one remainder
+    over the pairs with 2p <= base only (``_mod_ascending``).
     """
     stop = int(np.searchsorted(block.p, top))
     size = min(stop, _CHUNK)
-    two_p, e, fix = (np.empty(size, dtype=np.int64) for _ in range(3))
-    hits = np.empty(2 * size, dtype=np.int64)
+    dtype = np.int32 if top <= 1 << 30 and base < 1 << 30 else np.int64
+    sign = np.iinfo(dtype).bits - 1  # d >> sign is -1 where d < 0, else 0
+    p_buf, r_buf, two_p, e, fix = (np.empty(size, dtype=dtype) for _ in range(5))
+    hits = np.empty(2 * size, dtype=dtype)
     for s in range(0, stop, _CHUNK):
         t = min(s + _CHUNK, stop)
-        p, r = block.p[s:t], block.r[s:t]
-        m = p.size
-        tp, ee, b, h = two_p[:m], e[:m], fix[:m], hits[: 2 * m]
+        m = t - s
+        p, r, tp, ee, b = p_buf[:m], r_buf[:m], two_p[:m], e[:m], fix[:m]
+        h = hits[: 2 * m]
         lo, hi = h[:m], h[m:]
+        p[...] = block.p[s:t]
+        r[...] = block.r[s:t]
         np.left_shift(p, 1, out=tp)
         np.bitwise_and(r, 1, out=ee)
         ee *= p
         ee += r
-        np.remainder(base, tp, out=b)
+        _mod_ascending(base, tp, b)
         np.subtract(ee, b, out=lo)  # = e - base (mod 2p), in (-2p, 2p)
         np.subtract(tp, ee, out=hi)
         hi -= b  # = -e - base (mod 2p), in (-2p, 2p)
         for d, scratch in ((lo, ee), (hi, b)):  # add 2p where negative
-            np.right_shift(d, 63, out=scratch)
+            np.right_shift(d, sign, out=scratch)
             scratch &= tp
             d += scratch
-        h >>= 1
-        live = np.flatnonzero(h < n)
-        i = h[live]
+        live = np.flatnonzero(h < 2 * n)  # offsets are even, as e and base are
+        i = h[live].astype(np.int64) >> 1
         live[live >= m] -= m
-        step = p[live]
-        if base * base < int(p[-1]):  # some x >= base may have x^2 + 1 = p
+        step = block.p[s:t][live]
+        if base * base < int(block.p[t - 1]):  # some x >= base may have x^2 + 1 = p
             x = base + 2 * i
             own = x * x + 1 == step
             if own.any():

@@ -235,6 +235,24 @@ def test_sieve_bad_thread_count_is_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads, want", [(None, 2), ("16", 2), ("2", 2), ("1", 1)])
+def test_sieve_threads_stop_at_the_usable_cpus(tmp_path, monkeypatch, threads, want):
+    # each thread keeps two blocks in flight, so threads past the CPUs the
+    # process may run on cost memory and no speed; no thread is started here
+    class Captured(Exception):
+        pass
+
+    def capture(config, *args, **kwargs):
+        raise Captured(config)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.sieve, "run_pipeline", capture)
+    argv = ["sieve", "--limit", "1e4", "--out", str(tmp_path / "d")]
+    with pytest.raises(Captured) as caught:
+        cli.main(argv + (["--threads", threads] if threads else []))
+    assert caught.value.args[0].thread_count == want
+
+
 def test_sieve_bad_limit(tmp_path):
     assert cli.main(["sieve", "--limit", "abc", "--out", str(tmp_path)]) == 64
     assert cli.main(["sieve", "--limit", "1.5", "--out", str(tmp_path)]) == 64

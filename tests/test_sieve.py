@@ -398,6 +398,93 @@ def test_a_segment_range_guard():
         sieve_a_segment(top - 10, top + 10, blocks)
 
 
+def test_blocks_hand_out_int64_pairs():
+    # gate 07, annotate_roots' own root check, the decoder's and the scan's
+    # square r in the block's dtype, so blocks stay int64 however small
+    # their primes; only _first_hits narrows, inside itself
+    blocks = [
+        annotate_roots(np.array([5, 13, 17], dtype=np.int32)),
+        *sieve_prime_roots([(1, 1025), (1025, 2049)]),
+    ]
+    blocks.append(store.decode_prime_segment(store.encode_prime_segment(blocks[1])))
+    for block in blocks:
+        assert block.p.dtype == np.int64 and block.r.dtype == np.int64
+
+
+# -- first-hit kernel -----------------------------------------------------------
+
+_NARROW = 1 << 30  # _first_hits runs in int32 for top and base up to here
+
+
+def _block_of(lo, hi):
+    return annotate_roots(sieve_segment_1mod4(lo, hi, small_primes(isqrt(hi) + 1)))
+
+
+# 41k pairs below 2^20, and 25k around 2^30, with the one p = x^2 + 1 there
+# (x = 32,766) below 2^30: both span chunk edges at 2^14 pairs
+_LOW = _block_of(1, 1 << 20)
+_EDGE = _block_of(_NARROW - (1 << 19) + 1, _NARROW + (1 << 19))
+_WIDE = 1 << 21  # candidates per window on _EDGE: a few hundred chains hit
+
+
+def _first_hits_reference(block, base, n, top):
+    # every chain's first hit at or past base, in Python ints
+    hits = []
+    for p, r in zip(block.p.tolist(), block.r.tolist()):
+        if p >= top:
+            break
+        for root in (r, p - r):
+            x = base + (root + p * (root & 1) - base) % (2 * p)
+            if x * x + 1 == p:
+                x += 2 * p
+            if x < base + 2 * n:
+                hits.append(((x - base) // 2, p))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "block, base, n, top",
+    [
+        # top on both sides of 2^30; past it the int64 path strikes p > 2^30
+        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW - 1),
+        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW),
+        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW + 1),
+        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW + (1 << 19)),
+        # base on both sides of 2^30, and past int32
+        (_EDGE, _NARROW - 2, _WIDE, _NARROW),
+        (_EDGE, _NARROW, _WIDE, _NARROW),
+        (_EDGE, _NARROW + 2, _WIDE, _NARROW + (1 << 19)),
+        (_EDGE, 1 << 32, _WIDE, _NARROW),
+        # x from 32,000 across 46,341 (x^2 past int32), the own hit at 32,766
+        (_EDGE, 32_000, _WIDE, _NARROW),
+        (_LOW, 2, 100_000, 1 << 20),
+        # 2p < base, 2p == base and 2p > base in one chunk: the first, the
+        # second past a chunk edge, and the int64 path
+        (_LOW, 2 * int(_LOW.p[1000]), 5_000, 1 << 20),
+        (_LOW, 2 * int(_LOW.p[(1 << 14) + 5]), 5_000, 1 << 20),
+        (_EDGE, 2 * int(_EDGE.p[20_000]), _WIDE, 1 << 32),
+    ],
+)
+def test_first_hits_match_python_ints(block, base, n, top):
+    got = list(sieve._first_hits(block, base, n, top))
+    assert all(i.dtype == np.int64 and p.dtype == np.int64 for i, p in got)
+    pairs = sorted(
+        zip(np.concatenate([i for i, _ in got]).tolist(), np.concatenate([p for _, p in got]).tolist())
+    )
+    want = _first_hits_reference(block, base, n, top)
+    assert want and pairs == want
+
+
+def test_mod_ascending_reduces_at_and_past_base():
+    # m == base must take the remainder, 0, not base itself
+    for dtype in (np.int32, np.int64):
+        m = np.array([3, 5, 8, 10, 12, 40], dtype=dtype)
+        for base in (0, 2, 7, 10, 11, 39, 40, 41, 1000):
+            out = np.empty_like(m)
+            sieve._mod_ascending(base, m, out)
+            assert out.tolist() == [base % v for v in m.tolist()]
+
+
 @pytest.fixture(scope="module")
 def brute_a_3000():
     return oracle.brute_a(3000)
