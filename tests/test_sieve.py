@@ -420,11 +420,14 @@ def _block_of(lo, hi):
     return annotate_roots(sieve_segment_1mod4(lo, hi, small_primes(isqrt(hi) + 1)))
 
 
-# 41k pairs below 2^20, and 25k around 2^30, with the one p = x^2 + 1 there
-# (x = 32,766) below 2^30: both span chunk edges at 2^14 pairs
+# 41k pairs below 2^20, 26k around 2^29, 25k around 2^30 with the one
+# p = x^2 + 1 there (x = 32,766) below 2^30, and 24k just below the largest
+# prime the kernel takes: each spans a chunk edge at 2^14 pairs
 _LOW = _block_of(1, 1 << 20)
+_MID = _block_of((1 << 29) - (1 << 19) + 1, (1 << 29) + (1 << 19))
 _EDGE = _block_of(_NARROW - (1 << 19) + 1, _NARROW + (1 << 19))
-_WIDE = 1 << 21  # candidates per window on _EDGE: a few hundred chains hit
+_TOP = _block_of(_MAXP - (1 << 20) - 3, _MAXP)
+_WIDE = 1 << 21  # candidates per window on the large primes: a few hundred chains hit
 
 
 def _first_hits_reference(block, base, n, top):
@@ -463,6 +466,10 @@ def _first_hits_reference(block, base, n, top):
         (_LOW, 2 * int(_LOW.p[1000]), 5_000, 1 << 20),
         (_LOW, 2 * int(_LOW.p[(1 << 14) + 5]), 5_000, 1 << 20),
         (_EDGE, 2 * int(_EDGE.p[20_000]), _WIDE, 1 << 32),
+        # base just below 2p, so live hits come from offsets e - base near
+        # -2p: down to -2^30 in int32, and past -2^32 in int64
+        (_MID, _NARROW - (1 << 20), _WIDE, _NARROW),
+        (_TOP, 2 * int(_TOP.p[0]) - (1 << 20), _WIDE, _MAXP),
     ],
 )
 def test_first_hits_match_python_ints(block, base, n, top):
