@@ -8,7 +8,8 @@ Three stages, each feeding the next:
    every base prime's first index at once; each survivor p gets its
    canonical root of -1, the least prime non-residue (3 to 13 from one
    table over p mod 15015) to the (p-1)/4 power, in float64 for p up to
-   2^27 and in int64 above. ``sieve_prime_roots`` runs the two over ranges.
+   2^27 and in int64 above. ``sieve_prime_roots`` runs the two over ranges,
+   sieving consecutive ones together in groups of 2^20 numbers or more.
 3. A sieve over the candidates x themselves: x survives when x^2 + 1 has no
    prime factor below it, i.e. when x avoids both roots of -1 modulo every
    annotated prime p < x^2 + 1.
@@ -33,7 +34,7 @@ import fcntl
 import os
 from dataclasses import dataclass
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,9 @@ _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in 
 _WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
 # largest modulus _vector_pow reduces in float64: every product stays below 2^53
 _FLOAT_MOD_LIMIT = 1 << 27
+_EXACT_ROW = 1 << 26  # largest table entry _vector_pow leaves unreduced
 _SCAN_BLOCK = 1 << 18  # numbers per block of the shifted-square strike: < _CHUNK pairs
+_SIEVE_SPAN = 1 << 20  # least numbers per 1-mod-4 sieve call of sieve_prime_roots
 _SLICE_BELOW = 1 << 13  # _strike slices chains of smaller stride, runs rounds for the rest
 
 
@@ -150,29 +153,42 @@ def sieve_segment_1mod4(
     m = np.maximum(p, -(-seg_lo // p))
     m += (p - m) % 4  # multiplier must be p mod 4 for z = 1 mod 4
     _strike(mask, (m * p - 1) // 4 - t_lo, p)
-    return 4 * (t_lo + np.flatnonzero(mask).astype(np.int64)) + 1
+    z = np.flatnonzero(mask).astype(np.int64, copy=False)  # in place: one array
+    z += t_lo
+    z *= 4
+    z += 1
+    return z
 
 
 def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
-    """base**exp % mod elementwise, for exp >= 0; exp and mod may be
-    scalars. Every modulus must be in [1, MAX_ROOT_PRIME], or the int64
-    squares overflow.
+    """base**exp % mod elementwise, for base >= 0 and exp >= 0; exp and mod
+    may be scalars. Every modulus must be in [1, MAX_ROOT_PRIME], or the
+    int64 squares overflow.
 
     Left to right in fixed windows of _WINDOW bits: a table of base^0..7
     mod m, one column per element, then per window three squarings in
     place and one multiply by the table entry of the window's digit,
     gathered with one flat take. There is no per-bit select and no fresh
-    array per window.
+    array per window. The digits and their flat indices run in int32 while
+    the exponent is below 2^31 and the table below 2^31 entries.
+
+    Table row j stays the plain power base^j, unreduced, while
+    max(base)^j <= _EXACT_ROW = 2^26, so small bases such as the root
+    bases of ``annotate_roots`` skip most table reductions; a product of
+    such an entry with a reduced residue stays exact in either arithmetic.
+    A one-window exponent reduces its table entry once at the end.
 
     The arithmetic follows the moduli. When every m is at most
     _FLOAT_MOD_LIMIT = 2^27 it runs in float64 on symmetric residues: a
-    product y is reduced by y -= rint(y * (1/m)) * m. The computed quotient
-    is within about 2^-27 of y/m (|y/m| <= 2^25 + 2, two roundings of
-    relative size 2^-53), so every reduced |r| <= m/2 + 1, an integer;
-    every square and table product is then
-    at most (2^26 + 1)^2 < 2^53, and so is the quotient times m, so each
-    product and difference is an exact double. The result returns to
-    [0, m) in int64 once, at the end. Larger moduli reduce with int64 %.
+    product y is reduced by y -= rint(y * (1/m)) * m. Every factor is a
+    reduced |r| <= m/2 + 1 <= 2^26 + 1 or an unreduced entry at most 2^26,
+    so |y| <= (2^26 + 1)^2 < 2^53 is an exact double, and the computed
+    quotient is within about |y| * 2^-52 / m of y/m (two roundings of
+    relative size 2^-53). The new |r| is then below m/2 + 1 + 2^-24, and
+    being an integer it is at most m/2 + 1 again; the quotient times m is
+    exact too. So each reduced residue lies in (-m, m) (m = 1 and 2 divide
+    exactly), and the result returns to [0, m) by adding m to the negative
+    ones. Larger moduli reduce with int64 %.
     """
     n = base.size
     exp = np.broadcast_to(exp, base.shape)
@@ -195,16 +211,25 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
 
         table = np.empty((1 << _WINDOW, n), dtype=np.int64)
     table[0] = 1 % mod
-    table[1] = base % mod
-    reduce(table[1])
+    largest = int(np.max(base, initial=0))
+    if largest <= _EXACT_ROW:
+        table[1] = base
+    else:
+        table[1] = base % mod
+        reduce(table[1])
     for j in range(2, 1 << _WINDOW):
         np.multiply(table[j - 1], table[1], out=table[j])
-        reduce(table[j])
+        if largest**j > _EXACT_ROW:
+            reduce(table[j])
     flat = table.ravel()
-    cols = np.arange(n, dtype=np.int64)
-    digit = np.empty(n, dtype=np.int64)  # flat index of each element's entry
+    top = int(exp.max(initial=0))
+    wide = top >> 31 or flat.size >> 31
+    index = np.int64 if wide else np.int32
+    exp = exp.astype(index)
+    cols = np.arange(n, dtype=index)
+    digit = np.empty(n, dtype=index)  # flat index of each element's entry
     entry = np.empty(n, dtype=table.dtype)
-    top = max(int(exp.max(initial=0)).bit_length() - 1, 0) // _WINDOW * _WINDOW
+    top = max(top.bit_length() - 1, 0) // _WINDOW * _WINDOW
     x = None
     for shift in range(top, -1, -_WINDOW):
         np.right_shift(exp, shift, out=digit)
@@ -213,6 +238,8 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
         digit += cols
         if x is None:  # the leading window starts the power
             x = flat.take(digit)
+            if not top:
+                reduce(x)
             continue
         for _ in range(_WINDOW):
             x *= x
@@ -222,7 +249,9 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
         reduce(x)
     if table.dtype == np.int64:
         return x
-    return x.astype(np.int64) % mod  # symmetric residues back to [0, m)
+    x = x.astype(np.int64)
+    x += (x >> 63) & mod  # symmetric residues back to [0, m)
+    return x
 
 
 def _non_residues(q: int) -> np.ndarray:
@@ -244,6 +273,9 @@ def _least_non_residue_table(primes: Sequence[int]) -> np.ndarray:
 
 _BASE_PRIMES = (3, 5, 7, 11, 13)
 _BASE_TABLE = _least_non_residue_table(_BASE_PRIMES)  # over p mod 15015
+_LATE_BASES = [  # (q, its non-residue table) for the primes 17 <= q <= _ROOT_BASE_CAP
+    (q, _non_residues(q)) for q in small_primes(_ROOT_BASE_CAP)[1 + len(_BASE_PRIMES) :].tolist()
+]
 
 
 def _root_bases(p: np.ndarray) -> np.ndarray:
@@ -253,15 +285,18 @@ def _root_bases(p: np.ndarray) -> np.ndarray:
     2 is a non-residue exactly when p = 5 (mod 8). For an odd prime q,
     reciprocity gives (q|p) = (p|q) because p = 1 (mod 4), so q is read
     off the residue p mod q without touching p's own arithmetic: for 3, 5,
-    7, 11 and 13 at once, from _BASE_TABLE at p mod 15015. Only the ~1.5%
-    of primes left at 0 try the primes from 17 on, one at a time.
+    7, 11 and 13 at once, from _BASE_TABLE at p mod 15015 (taken as
+    p - (p // 15015) * 15015, a division by a scalar). Only the ~1.5% of
+    primes left at 0 try the primes from 17 on, one at a time, each from
+    its table in _LATE_BASES.
     """
-    base = np.where(p & 7 == 5, 2, _BASE_TABLE[p % _BASE_TABLE.size]).astype(np.int64)
+    size = _BASE_TABLE.size
+    base = np.where(p & 7 == 5, 2, _BASE_TABLE[p - p // size * size]).astype(np.int64)
     pending = np.flatnonzero(base == 0)
-    for q in small_primes(_ROOT_BASE_CAP)[1 + len(_BASE_PRIMES):].tolist():
+    for q, non_residue in _LATE_BASES:
         if pending.size == 0:
             break
-        hit = _non_residues(q)[p[pending] % q]
+        hit = non_residue[p[pending] % q]
         base[pending[hit]] = q
         pending = pending[~hit]
     return base
@@ -476,18 +511,26 @@ def _totient(c: int) -> int:
     return phi - phi // c if c > 1 else phi
 
 
-def _scale_inverse(c: int, phi: int, p: np.ndarray) -> np.ndarray:
-    """c^-1 mod each prime p not dividing c, where phi is phi(c).
+def _negative_inverses(c: int, phi: int, a: np.ndarray) -> np.ndarray:
+    """k = -a^-1 mod c for each a >= 0 prime to c, where phi is phi(c):
+    a^phi = 1 (mod c), so -a^(phi - 1) is the inverse's negative, a power
+    modulo c with an exponent below c. Needs c < MAX_ROOT_PRIME."""
+    return -_vector_pow(a, phi - 1, c) % c
 
-    p^phi = 1 (mod c), so k = -p^(phi - 1) mod c makes 1 + k*p a multiple
-    of c, and (1 + k*p)/c is c^-1 mod p: a power modulo c with an exponent
-    below c, however large p is. k depends only on p mod c, so for c up to
-    p.size one power per residue 0..c-1 is read back at p % c; above, each
-    p takes its own. Needs c < MAX_ROOT_PRIME and (c - 1)*p + 1 < 2^63.
+
+def _times_inverse(a: np.ndarray, p: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
+    """a * c^-1 mod p for each a in [0, p), where k = -p^-1 mod c.
+
+    j = a*k mod c makes a + j*p = 0 (mod c), and (a + j*p)/c is the
+    product, already in [0, p): a + j*p < c*p. No remainder by an array:
+    "mod c" is a - (a // c)*c, a division by a scalar. Needs c*p < 2^63.
     """
-    table = c <= p.size
-    k = -_vector_pow(np.arange(c) if table else p % c, phi - 1, c) % c
-    return (1 + (k[p % c] if table else k) * p) // c
+    j = a * k
+    j -= j // c * c
+    j *= p
+    j += a
+    j //= c
+    return j
 
 
 def _scan_top(members: Sequence[tuple], y_limit: int) -> int:
@@ -498,39 +541,102 @@ def _scan_top(members: Sequence[tuple], y_limit: int) -> int:
 def shifted_square_fits(members: Sequence[tuple], y_limit: int) -> bool:
     """Whether ``shifted_square_mask`` can run the family in int64: every
     |c*y + s| below MAX_ROOT_PRIME, so the primes p annotate and their
-    products fit, and every c below MAX_ROOT_PRIME, so c % p fits and
-    (c - 1)*p + 1 <= (MAX_ROOT_PRIME - 1)^2 < 2^63, as ``_scale_inverse``
-    needs."""
+    products fit, and every c below MAX_ROOT_PRIME, so c*p <=
+    (MAX_ROOT_PRIME - 1)^2 < 2^63, as ``_times_inverse`` needs."""
     top = _scan_top(members, y_limit)
     return top <= MAX_ROOT_PRIME and all(c < MAX_ROOT_PRIME for c, _ in members)
 
 
+def _scale_pairs(block: PrimeRootBlock, c: int, phi: int, table) -> tuple:
+    """The chains of ``block`` on the rays of scale c, before the rays' t.
+
+    Returns (p2, u2, k, own, r_own). The pairs whose p divides c are left
+    out (only p <= c can); for the m others k = -p^-1 mod c, read from
+    ``table`` at p mod c or, with no table, one power per prime; p2 holds
+    p twice and u2 the chains' +-r * c^-1 mod p, u and p - u, so a ray with
+    w = t * c^-1 starts its 2m chains at u2 - w (mod p2). own indexes p2 at
+    the pairs with p = r^2 + 1, and r_own holds their r.
+    """
+    drop = np.flatnonzero(c % block.p[: block.p.searchsorted(c, "right")] == 0)
+    p, r = np.delete(block.p, drop), np.delete(block.r, drop)
+    residue = p - p // c * c
+    k = _negative_inverses(c, phi, residue) if table is None else table[residue]
+    u = _times_inverse(r, p, k, c)
+    sq = np.flatnonzero(r * r + 1 == p)
+    return (
+        np.concatenate((p, p)),
+        np.concatenate((u, p - u)),
+        k,
+        np.concatenate((sq, sq + p.size)),
+        np.concatenate((r[sq], r[sq])),
+    )
+
+
+def _strike_rays(block: PrimeRootBlock, rays: list, scales: dict) -> None:
+    """Strike each ray (c, t, view) that ``block`` reaches with its chains:
+    one ``_strike`` per ray, over the chains whose first hit lies on it."""
+    pairs = {}  # per scale c: _scale_pairs
+    for c, t, view in rays:
+        if block.lo > c * (view.size - 1) + t:
+            continue
+        if c not in pairs:
+            pairs[c] = _scale_pairs(block, c, *scales[c])
+        p2, u2, k, own, r_own = pairs[c]
+        p = p2[: k.size]
+        a = np.empty_like(p)
+        _mod_ascending(t, p, a)  # t mod p
+        i = (u2.reshape(2, -1) - _times_inverse(a, p, k, c)).ravel()  # in (-p, p)
+        i += (i >> 63) & p2
+        own = own[c * i[own] + t == r_own]  # first hits at |x| = r
+        i[own] += p2[own]
+        live = np.flatnonzero(i < view.size)
+        _strike(view, i[live], p2[live])
+
+
 def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
     """Bool mask over y in [0, y_limit]: True where (c*y + s)^2 + 1 is
-    prime for every (c, s) of ``members``, a family with no local
-    obstruction, each c > 0. A family outside ``shifted_square_fits``
-    raises ValueError.
+    prime for every (c, s) of ``members``, each c > 0. A family outside
+    ``shifted_square_fits`` raises ValueError, and so does a member with
+    gcd(c, s^2 + 1) > 1, whose values all share a prime factor.
 
     x = c*y + s has x^2 + 1 prime exactly when |x| is in A, so the mask is
     struck with no primality test, on at most two rays per member along
     which |x| = c*i + t grows with i >= 0: mask[z:] from the first y = z
     with x >= 0, and the reversed mask[z-1::-1]. On a ray, the pair (2, 1)
-    and each annotated p not dividing c (one that does divides no value)
-    strike the chains i = (+-r - t) c^-1 (mod p), c^-1 from
-    ``_scale_inverse``. A chain spares only |x| = r with r^2 + 1 = p, and
-    that is its first hit if any, the one before lying at r - c*p < 0; so
-    it moves one stride on, as in ``_first_hits``. x = 0 gives 1, and is
-    cleared where a ray starts at t = 0. The primes come from
-    ``sieve_prime_roots`` in blocks of 2^18 numbers tiling [1, max |x| + 1),
-    under 2^14 pairs each. A ray skips the blocks whose primes are all past
-    its own max |x|, which is exact: a composite x^2 + 1 has a prime factor
-    at most |x|, and that factor does not divide c.
+    and each annotated p not dividing c (one that does divides no value,
+    as c and s^2 + 1 are coprime) strike the chains i = (+-r - t) c^-1
+    (mod p). A chain spares only |x| = r with r^2 + 1 = p, and that is its
+    first hit if any, the one before lying at r - c*p < 0; so it moves one
+    stride on, as in ``_first_hits``. x = 0 gives 1, and is cleared where a
+    ray starts at t = 0.
+
+    The chains start at u - w and -u - w (mod p), with u = r * c^-1 and
+    w = (t mod p) * c^-1 from ``_times_inverse``: no remainder by an array,
+    and t mod p only over the primes p <= t. k = -p^-1 mod c is read from
+    one table over the residues mod c per scale and scan while c is at most
+    _CHUNK, and taken per prime above. Each block makes one ``_strike`` per
+    ray, over the chains whose first hit lies on the ray.
+
+    The primes come from ``sieve_prime_roots`` in blocks of 2^18 numbers
+    tiling [1, max |x| + 1), under 2^14 pairs each. A ray skips the blocks
+    whose primes are all past its own max |x|, which is exact: a composite
+    x^2 + 1 has a prime factor at most |x|, and that factor does not divide
+    c.
     """
     if not shifted_square_fits(members, y_limit):
         raise ValueError("family outside the int64 range of the strike")
+    for c, s in members:
+        if gcd(c, s * s + 1) > 1:
+            raise ValueError(
+                f"every value of (c*y + s)^2 + 1 with (c, s) = ({c}, {s}) "
+                f"is divisible by {gcd(c, s * s + 1)}"
+            )
     n = y_limit + 1
     top = _scan_top(members, y_limit)
-    phi = {c: _totient(c) for c, _ in members}
+    scales = {}  # c: phi(c) and the table of k = -a^-1 mod c over a mod c, or None
+    for c in {c for c, _ in members}:
+        phi = _totient(c)
+        scales[c] = phi, _negative_inverses(c, phi, np.arange(c)) if c <= _CHUNK else None
     alive = np.ones(n, dtype=bool)
     rays = []  # (c, t, view): view[i] is the y with |x| = c*i + t
     for c, s in members:
@@ -544,21 +650,7 @@ def shifted_square_mask(members: Sequence[tuple], y_limit: int) -> np.ndarray:
     two = PrimeRootBlock(lo=2, hi=3, p=np.array([2]), r=np.array([1]))
     ranges = [(lo, min(lo + _SCAN_BLOCK, top)) for lo in range(1, top, _SCAN_BLOCK)]
     for block in chain([two], sieve_prime_roots(ranges)):
-        inverses = {}  # per scale c: pairs with c % p != 0, c^-1, those with p = r^2 + 1
-        for c, t, view in rays:
-            if block.lo > c * (view.size - 1) + t:
-                continue
-            if c not in inverses:
-                unit = c % block.p != 0
-                pc, rc = block.p[unit], block.r[unit]
-                sq = np.flatnonzero(rc * rc + 1 == pc)
-                inverses[c] = pc, rc, _scale_inverse(c, phi[c], pc), sq
-            pc, rc, inv, sq = inverses[c]
-            for root in (rc, pc - rc):
-                i = (root - t) % pc * inv % pc
-                own = sq[c * i[sq] + t == rc[sq]]  # first hits at |x| = r
-                i[own] += pc[own]
-                _strike(view, i, pc)
+        _strike_rays(block, rays, scales)
     return alive
 
 
@@ -568,19 +660,35 @@ def sieve_prime_roots(
     """Sieve and annotate each range [lo, hi) of ``ranges``, in order.
 
     Every lo must be 1 mod 4. The base primes are sieved once, up to the
-    square root of the highest end. With thread_count > 1 the ranges run on
-    a thread pool with bounded lookahead; the blocks are the same.
+    square root of the highest end. Consecutive ranges are sieved together,
+    one ``sieve_segment_1mod4`` call per group of at least _SIEVE_SPAN =
+    2^20 numbers, so a base prime below 2^13 costs one slice per group, not
+    one per range; a gap between ranges (a resume plan) starts a new group,
+    and a range of 2^20 or more is a group of its own. Each range is still
+    annotated on its own, so the blocks are those of one call per range.
+    With thread_count > 1 the groups run on a thread pool with bounded
+    lookahead; the blocks are the same.
     """
-    ranges = list(ranges)
-    if not ranges:
+    groups = []
+    for lo, hi in ranges:
+        if groups and groups[-1][-1][1] == lo and lo - groups[-1][0][0] < _SIEVE_SPAN:
+            groups[-1].append((lo, hi))
+        else:
+            groups.append([(lo, hi)])
+    if not groups:
         return
-    base_primes = small_primes(isqrt(max(hi for _, hi in ranges) - 1) + 1)
+    base_primes = small_primes(isqrt(max(g[-1][1] for g in groups) - 1) + 1)
 
-    def job(rng):
-        lo, hi = rng
-        return annotate_roots(sieve_segment_1mod4(lo, hi, base_primes), lo=lo, hi=hi)
+    def job(group):
+        primes = sieve_segment_1mod4(group[0][0], group[-1][1], base_primes)
+        cuts = primes.searchsorted([lo for lo, _ in group[1:]])
+        return [
+            annotate_roots(part, lo=lo, hi=hi)
+            for part, (lo, hi) in zip(np.split(primes, cuts), group)
+        ]
 
-    yield from _ordered_map(job, ranges, thread_count)
+    # chain drops each group's list once it is spent, before the next is sieved
+    yield from chain.from_iterable(_ordered_map(job, groups, thread_count))
 
 
 class _CandidateStrike:

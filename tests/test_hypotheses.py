@@ -228,6 +228,42 @@ def test_scan_sends_scales_past_int64_to_the_filter():
     assert (top - 2) * (top - 1) + 1 < 1 << 63
 
 
+def test_square_strike_refuses_a_member_sharing_a_factor_with_its_scale():
+    # gcd(c, s^2 + 1) > 1 puts that factor in every value, and the strike,
+    # which skips the primes dividing c, marked 122, 58 and 103 y here,
+    # where the right masks hold y = 3 and 4, y = 0, and none
+    for squares, y_limit, right in (
+        ([(2, -7)], 500, [3, 4]),
+        ([(5, 2)], 300, [0]),
+        ([(10, 3)], 300, []),
+    ):
+        (c, s), = squares
+        values = [(c * y + s) ** 2 + 1 for y in range(y_limit + 1)]
+        assert [y for y, v in enumerate(values) if oracle.is_prime_64(v)] == right
+        with pytest.raises(ValueError, match=f"divisible by {math.gcd(c, s * s + 1)}"):
+            shifted_square_mask(squares, y_limit)
+        with pytest.raises(ValueError, match="local obstruction"):
+            simultaneous_prime_scan([IntPolynomial.shifted_square(c, s)], y_limit)
+    with pytest.raises(ValueError, match="divisible by 5"):  # one bad member is enough
+        shifted_square_mask([(65, 1), (5, 2)], 10)
+
+
+@pytest.mark.parametrize(
+    "squares",
+    [[(997, 3)], [(997, -2_990_000)], [(997, -2_990_000), (991, 4)], [(3, -2_990_000)]],
+)
+def test_square_strike_spans_several_sieve_groups(squares):
+    # |x| reaches about 2.99e6: twelve blocks of 2^18 numbers, sieved in
+    # three groups of 2^20; the last family runs only on a reversed ray
+    # whose t = 2,981,000 exceeds c*p for every prime of its first blocks
+    family = [IntPolynomial.shifted_square(c, s) for c, s in squares]
+    assert bunyakovsky_check(family) is None
+    assert sieve._scan_top(squares, 3000) > 2 * sieve._SIEVE_SPAN
+    struck = np.flatnonzero(shifted_square_mask(squares, 3000)).tolist()
+    assert struck == _filter_hits(family, 3000)
+    assert len(struck) > 10
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     squares=st.lists(

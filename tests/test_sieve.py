@@ -218,6 +218,33 @@ def test_vector_pow_float_path_matches_builtin_pow(size, bits, mod_hi, seed):
     assert got.tolist() == [pow(b, e, m) for b in base.tolist()]
 
 
+@pytest.mark.parametrize(
+    "base",
+    [0, 1, 2, 13, 14, 17, 406, 407, 8192, 8193, (1 << 26) - 1, 1 << 26, (1 << 26) + 1],
+)
+def test_vector_pow_unreduced_rows_match_builtin_pow(base):
+    # table row j stays base^j while base^j <= 2^26: 13^7 is below 2^26 and
+    # 14^7 above, as are 406^3 and 407^3, 8192^2 and 8193^2, and 2^26 and
+    # 2^26 + 1 themselves; moduli 1, 2 and 3, moduli near 2^27 on the float
+    # path and near MAX_ROOT_PRIME on the int64 path, where an entry one
+    # power too large overflows the products; exponents at and past 2^31,
+    # where the digits leave int32, and exponents of one window
+    exps = [0, 1, 2, 7, 8, 63, 2**31 - 1, 2**31, 2**31 + 7, 2**40 - 1, 2**62 + 12345]
+    exps += np.random.default_rng(base).integers(0, 1 << 36, 40).tolist()
+    for mods in ([1, 2, 3], [_FLOAT_TOP, _FLOAT_TOP - 1, 3, 1], [_MAXP, _MAXP - 1, 2]):
+        mod = np.resize(np.array(mods, dtype=np.int64), len(exps))
+        b = np.full(len(exps), base, dtype=np.int64)
+        got = sieve._vector_pow(b, np.array(exps, dtype=np.int64), mod)
+        want = [pow(base, e, m) for e, m in zip(exps, mod.tolist())]
+        assert got.dtype == np.int64 and got.tolist() == want, mods
+        low = np.flatnonzero(np.array(exps) < 1 << 31)  # int32 digits only
+        got = sieve._vector_pow(b[low], np.array(exps)[low], mod[low])
+        assert got.tolist() == [want[k] for k in low.tolist()]
+        for e in (0, 5, 2**31 + 1):  # scalar exponent and modulus
+            got = sieve._vector_pow(b, e, mods[0])
+            assert got.tolist() == [pow(base, e, mods[0])] * b.size
+
+
 def _root_bases_by_loop(p: np.ndarray) -> np.ndarray:
     """Reference for ``sieve._root_bases``: one prime base at a time."""
     base = np.where(p % 8 == 5, 2, 0)
@@ -260,13 +287,19 @@ def test_scale_inverse_matches_builtin_pow(c, phi):
     top = [q for q in range(_MAXP - 2000, _MAXP) if oracle.is_prime_64(q)]
     p = np.concatenate((small_primes(10**5), np.array(top, dtype=np.int64)))
     p = p[c % p != 0]
-    assert (c - 1) * int(p[-1]) + 1 < 1 << 63
-    want = [pow(c, -1, q) for q in p.tolist()]
-    assert sieve._scale_inverse(c, phi, p).tolist() == want  # a table when c <= p.size
-    if c > 1:  # slices shorter than c take the power per prime
-        w = min(c - 1, p.size)
-        got = [sieve._scale_inverse(c, phi, p[s : s + w]) for s in range(0, p.size, w)]
-        assert np.concatenate(got).tolist() == want
+    assert c * int(p[-1]) < 1 << 63
+    k = sieve._negative_inverses(c, phi, p % c)  # one power per prime
+    assert k.tolist() == [-pow(q, -1, c) % c for q in p.tolist()]
+    if c <= sieve._CHUNK:  # the scan's table over the residues mod c
+        assert sieve._negative_inverses(c, phi, np.arange(c))[p % c].tolist() == k.tolist()
+    # c^-1 = (1 + k*p)/c, and a * c^-1 at random a, 0 and p - 1
+    inverse = [pow(c, -1, q) for q in p.tolist()]
+    got = sieve._times_inverse(np.ones_like(p), p, k, c)
+    assert got.dtype == np.int64 and got.tolist() == inverse
+    a = np.random.default_rng(c).integers(0, p)
+    a[:2], a[-2:] = 0, p[-2:] - 1
+    want = [x * v % q for x, v, q in zip(a.tolist(), inverse, p.tolist())]
+    assert sieve._times_inverse(a, p, k, c).tolist() == want
 
 
 def test_annotate_roots_range_guard():
@@ -650,6 +683,41 @@ def test_sieve_prime_roots_tiles_candidate_space():
     assert blocks[-1].hi == store.x_limit(10**8)
     for a, b in zip(blocks, blocks[1:]):
         assert a.hi == b.lo
+
+
+def _tiled(lo: int, width: int, count: int, last: int = 0) -> list:
+    """count ranges of width from lo, the last one cut ``last`` short."""
+    edges = [lo + k * width for k in range(count + 1)]
+    edges[-1] -= last
+    return list(zip(edges, edges[1:]))
+
+
+_GROUPED = {  # name: ranges for sieve_prime_roots, each lo = 1 (mod 4)
+    "2^10 from 1": _tiled(1, 1 << 10, 2600, last=3),
+    "2^10 with gaps": [r for k, r in enumerate(_tiled(10**7 + 1, 1 << 10, 2600)) if k % 700 > 3],
+    "2^18 from 1": _tiled(1, 1 << 18, 10, last=1000),
+    "2^18 with gaps": [r for k, r in enumerate(_tiled(1, 1 << 18, 11)) if k not in (2, 7, 8)],
+    "2^22": _tiled(10**8 + 1, 1 << 22, 3),
+    "2^22 with a gap": _tiled(1, 1 << 22, 1) + _tiled(1 + (2 << 22), 1 << 22, 1, last=5),
+    "store 10^12 at 2^10": store.prime_segment_ranges(10**12, 1 << 10),
+    "mixed widths": _tiled(1, 1 << 10, 3) + _tiled(3073, 1 << 18, 2) + _tiled(527361, 1 << 22, 1),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(_GROUPED))
+def test_grouped_sieve_yields_the_blocks_of_one_call_per_range(name, threads):
+    # sieve_prime_roots sieves consecutive ranges in groups of 2^20 numbers
+    # and over; the blocks must be those of one sieve and one annotation
+    # per range, with gaps (as in a resume plan) and with threads
+    ranges = _GROUPED[name]
+    base = small_primes(isqrt(ranges[-1][1]) + 1)
+    got = list(sieve_prime_roots(ranges, thread_count=threads))
+    assert [(b.lo, b.hi) for b in got] == ranges
+    for block, (lo, hi) in zip(got, ranges):
+        want = annotate_roots(sieve_segment_1mod4(lo, hi, base), lo=lo, hi=hi)
+        assert np.array_equal(block.p, want.p) and np.array_equal(block.r, want.r)
+        assert block.p.dtype == np.int64 and block.r.dtype == np.int64
 
 
 # -- fused pass -----------------------------------------------------------------
