@@ -210,7 +210,7 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
             y %= mod
 
         table = np.empty((1 << _WINDOW, n), dtype=np.int64)
-    table[0] = 1 % mod
+    table[0] = 1  # unreduced like the other small rows: m = 1 reduces it to 0
     largest = int(np.max(base, initial=0))
     if largest <= _EXACT_ROW:
         table[1] = base
@@ -222,14 +222,13 @@ def _vector_pow(base: np.ndarray, exp, mod) -> np.ndarray:
         if largest**j > _EXACT_ROW:
             reduce(table[j])
     flat = table.ravel()
-    top = int(exp.max(initial=0))
-    wide = top >> 31 or flat.size >> 31
-    index = np.int64 if wide else np.int32
+    biggest = int(exp.max(initial=0))
+    index = np.int32 if biggest < 1 << 31 and flat.size < 1 << 31 else np.int64
     exp = exp.astype(index)
     cols = np.arange(n, dtype=index)
     digit = np.empty(n, dtype=index)  # flat index of each element's entry
     entry = np.empty(n, dtype=table.dtype)
-    top = max(top.bit_length() - 1, 0) // _WINDOW * _WINDOW
+    top = max(biggest.bit_length() - 1, 0) // _WINDOW * _WINDOW
     x = None
     for shift in range(top, -1, -_WINDOW):
         np.right_shift(exp, shift, out=digit)
@@ -309,8 +308,11 @@ def annotate_roots(
 
     The root is t = q^((p-1)/4) for a quadratic non-residue q (Euler's
     criterion makes t^2 = -1); q is the least prime non-residue, chosen
-    before any exponentiation, so each prime costs one modular power, taken
-    by ``_vector_pow`` in slices of _CHUNK primes that stay in cache.
+    before any exponentiation by ``_root_bases`` from tables built at
+    import, so each prime costs one modular power, taken by ``_vector_pow``
+    in slices of _CHUNK primes that stay in cache. q is small (2 for half
+    the primes, at most 13 for about 98.5%), so the power's window table
+    mostly holds plain powers q^j that need no reduction.
     Every root is checked in int64 (t*t % p == p - 1), whichever arithmetic
     the power ran in, and a failed check or a prime with no base up to
     _ROOT_BASE_CAP raises NoRootFoundError. Primes above MAX_ROOT_PRIME raise
