@@ -20,12 +20,13 @@ candidate strike as soon as it exists, and every A segment it completes is
 committed right after it. Output is restartable and byte-deterministic.
 ``sieve_a_segment`` is the stand-alone form of stage 3 for one window of
 candidates against a stream of blocks (random windows, tests, references).
-Both find where each prime's chains first hit their candidates with one
-kernel, ``_first_hits``, which works through a block in cache-sized chunks,
-and clear them by stride class. Within a segment, ``_strike`` clears a
-chain of stride below 2^13 by one slice and the rest in vectorised rounds,
-one hit per chain per round; in the fused pass a prime from segment_len/8
-up has all its hits generated on arrival and cleared in a bit mask.
+Both stay below x_limit(10^18) = 10^9, find where each prime's chains
+first hit their candidates with one int32 kernel, ``_first_hits``, in
+cache-sized chunks, and clear them by stride class. Within a segment,
+``_strike`` clears a chain of stride below 2^13 by one slice and the rest
+in vectorised rounds, one hit per chain per round; in the fused pass a
+prime from segment_len/8 up has all its hits generated on arrival and
+cleared in a bit mask.
 ``shifted_square_mask`` runs stage 3 over the arguments y of the shifted
 squares (c*y + s)^2 + 1 for family scans, on rays where |c*y + s| grows.
 """
@@ -43,6 +44,7 @@ from .records import ASegment, PrimeRootBlock
 from .store import (
     KIND_A,
     KIND_PRIME,
+    MAX_BOUND,
     ManifestError,
     SegmentStore,
     check_geometry,
@@ -52,6 +54,7 @@ from .store import (
 _ROOT_BASE_CAP = 1000  # largest base tried for a prime's root of -1
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
+_X_TOP = x_limit(MAX_BOUND)  # 10^9: every candidate of every supported run is below
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
 _WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
 # largest modulus _vector_pow reduces in float64: every product stays below 2^53
@@ -96,11 +99,9 @@ class SieveConfig:
 
 @dataclass
 class SieveStats:
-    """Work counters, mostly for the cost-model tests."""
+    """The hits ``sieve_a_segment`` strikes, for the cost-model tests and the bench."""
 
     strikes: int = 0
-    candidates: int = 0
-    survivors: int = 0
 
 
 def small_primes(limit: int) -> np.ndarray:
@@ -362,22 +363,18 @@ def _first_hits(
     arithmetic stays in cache; each chunk yields int64 arrays (i, p) with
     one entry per live chain.
 
-    One dtype rule: the arithmetic runs in int32 when top <= 2^30 and
-    base < 2^30, else in int64. In int32, p < 2^30, so 2p, e, base mod 2p
-    and both signed offsets in (-2p, 2p) fit, at half the bytes per pair.
-    Every run the store takes is int32, its x below x_limit(10^18) = 10^9;
-    int64 keeps wider windows up to MAX_ROOT_PRIME exact. The blocks stay
-    int64, because their users square r in the block's own dtype; only
-    the live hits return to int64, so the own-value test x * x + 1 == p
-    and the strikes see what they saw before. base mod 2p is one remainder
-    over the pairs with 2p <= base only (``_mod_ascending``).
+    The arithmetic runs in int32. Both callers keep top at or below
+    _X_TOP = 10^9 and base below it, so 2p < 2^31, and e, base mod 2p and
+    both signed offsets in (-2p, 2p) fit; base mod 2p is one remainder
+    over the pairs with 2p <= base only (``_mod_ascending``). The blocks
+    stay int64, because their users square r in the block's own dtype;
+    only the live hits return to int64, for the own-value test
+    x * x + 1 == p and the strikes.
     """
     stop = int(np.searchsorted(block.p, top))
     size = min(stop, _CHUNK)
-    dtype = np.int32 if top <= 1 << 30 and base < 1 << 30 else np.int64
-    sign = np.iinfo(dtype).bits - 1  # d >> sign is -1 where d < 0, else 0
-    p_buf, r_buf, two_p, e, fix = (np.empty(size, dtype=dtype) for _ in range(5))
-    hits = np.empty(2 * size, dtype=dtype)
+    p_buf, r_buf, two_p, e, fix = (np.empty(size, dtype=np.int32) for _ in range(5))
+    hits = np.empty(2 * size, dtype=np.int32)
     for s in range(0, stop, _CHUNK):
         t = min(s + _CHUNK, stop)
         m = t - s
@@ -395,7 +392,7 @@ def _first_hits(
         np.subtract(tp, ee, out=hi)
         hi -= b  # = -e - base (mod 2p), in (-2p, 2p)
         for d, scratch in ((lo, ee), (hi, b)):  # add 2p where negative
-            np.right_shift(d, sign, out=scratch)
+            np.right_shift(d, 31, out=scratch)  # -1 where d < 0, else 0
             scratch &= tp
             d += scratch
         live = np.flatnonzero(h < 2 * n)  # offsets are even, as e and base are
@@ -454,25 +451,21 @@ def sieve_a_segment(
     from the first hits that ``_first_hits`` finds (the kernel the fused
     pass shares). A candidate x whose own value x^2 + 1 equals p is the one
     legitimate survivor on its strike chain, so that first hit is skipped.
-    Each chunk of chains is cleared by ``_strike``.
+    Each chunk of chains is cleared by ``_strike`` and counted in ``stats``.
 
     The blocks must tile [1, seg_hi) or beyond without holes, starting at 1;
-    anything less raises IncompleteRootStreamError. seg_hi above
-    MAX_ROOT_PRIME raises ValueError: the squares of candidates and primes
-    must fit int64.
+    anything less raises IncompleteRootStreamError. seg_hi above _X_TOP =
+    x_limit(10^18) = 10^9, past every supported run and the kernel's int32
+    arithmetic, raises ValueError.
     """
     if seg_lo < 1 or seg_lo >= seg_hi:
         raise ValueError("need 1 <= seg_lo < seg_hi")
-    if seg_hi > MAX_ROOT_PRIME:
-        raise ValueError(
-            f"seg_hi {seg_hi} above {MAX_ROOT_PRIME}: its squares overflow int64"
-        )
+    if seg_hi > _X_TOP:
+        raise ValueError(f"seg_hi {seg_hi} above {_X_TOP}, the x_limit of {MAX_BOUND}")
 
     base = seg_lo + (seg_lo & 1)  # first even candidate
     n_idx = max(0, (seg_hi - base + 1) // 2)
     mask = np.ones(n_idx, dtype=bool)
-    if stats is not None:
-        stats.candidates += n_idx + (1 if seg_lo == 1 else 0)
 
     covered = 1
     for block in prime_root_blocks:
@@ -481,24 +474,26 @@ def sieve_a_segment(
                 f"root blocks jump from {covered} to {block.lo}"
             )
         covered = block.hi
-        if n_idx:
-            for i, step in _first_hits(block, base, n_idx, seg_hi):
-                if stats is not None:
-                    stats.strikes += int(np.sum((n_idx - i + step - 1) // step))
-                _strike(mask, i, step)
+        for i, step in _first_hits(block, base, n_idx, seg_hi):
+            if stats is not None:
+                stats.strikes += int(np.sum((n_idx - i + step - 1) // step))
+            _strike(mask, i, step)
         if covered >= seg_hi:
             break
     if covered < seg_hi:
         raise IncompleteRootStreamError(
             f"root blocks cover [1,{covered}), segment needs [1,{seg_hi})"
         )
+    return _a_segment(seg_lo, seg_hi, base, mask)
 
-    values = base + 2 * np.flatnonzero(mask).astype(np.int64)
-    if seg_lo == 1:
+
+def _a_segment(lo: int, hi: int, base: int, alive: np.ndarray) -> ASegment:
+    """The A segment [lo, hi) whose even candidates base + 2i survive where
+    ``alive`` is set, led by x = 1, the one odd member, when lo is 1."""
+    values = base + 2 * np.flatnonzero(alive).astype(np.int64)
+    if lo == 1:
         values = np.concatenate(([1], values))
-    if stats is not None:
-        stats.survivors += values.size
-    return ASegment(lo=seg_lo, hi=seg_hi, values=values)
+    return ASegment(lo=lo, hi=hi, values=values)
 
 
 def _totient(c: int) -> int:
@@ -701,13 +696,13 @@ class _CandidateStrike:
 
     - p >= segment_len / 8 hits a segment at most eight times per root, so
       when it is fed, all its hits from the next segment up to ``limit``
-      are generated at once from the first hits that ``_first_hits``
-      finds, and cleared in a bit-packed mask (bit i is the even candidate
-      2i; limit/16 bytes), and nothing about it is kept;
+      are generated at once, as bit indices h (the even candidate 2h) with
+      stride p, from the first hits that ``_first_hits`` finds, and cleared
+      in a bit-packed mask (limit/16 bytes); nothing about it is kept;
     - a smaller prime keeps the index of its next hit instead, and
-      ``emit`` strikes each segment with ``_strike``: the chains of
-      2^13 <= p < segment_len / 8 in rounds, one fancy index over all of
-      them per round;
+      ``emit`` strikes each segment's unpacked slice of the mask with
+      ``_strike``: the chains of 2^13 <= p < segment_len / 8 in rounds,
+      one fancy index over all of them per round;
     - and each chain of p < 2^13 by one slice.
 
     The split at segment_len / 8 sits near the point where carrying a
@@ -730,41 +725,36 @@ class _CandidateStrike:
             small = p < self.slice_below
             small_p.append(p[small])
             small_next.append(i[small])
-            self._clear_chains(self.base + 2 * i[~small], 2 * p[~small])
+            self._clear_chains(i[~small] + (self.base >> 1), p[~small])
         self.small_p = np.concatenate(small_p)
         self.small_next = np.concatenate(small_next)
 
-    def _clear_chains(self, x: np.ndarray, step: np.ndarray) -> None:
-        # one hit per chain per batch, so a batch never exceeds the chunk
-        live = x < self.limit
-        x, step = x[live], step[live]
-        while x.size:
-            i = x >> 1
-            byte = i >> 3
-            keep = ~(np.uint8(1) << (i & 7).astype(np.uint8))
+    def _clear_chains(self, h: np.ndarray, step: np.ndarray) -> None:
+        # live hits by bit index; one per chain per batch, so a batch never exceeds the chunk
+        end = (self.limit + 1) // 2  # past the last candidate's index
+        while h.size:
+            byte = h >> 3
+            keep = ~(np.uint8(1) << (h & 7).astype(np.uint8))
             while byte.size:
                 # hits sharing a byte write it once each and the last write
                 # wins, so read back and repeat the clears that were lost
                 self.bits[byte] &= keep
                 lost = self.bits[byte] & ~keep != 0
                 byte, keep = byte[lost], keep[lost]
-            x = x + step
-            live = x < self.limit
-            x, step = x[live], step[live]
+            h += step
+            live = h < end
+            h, step = h[live], step[live]
 
     def emit(self, lo: int, hi: int) -> ASegment:
         """Members of A in [lo, hi), the next segment in order."""
         n = (hi - self.base + 1) // 2
-        alive = np.ones(n, dtype=bool)
+        h = self.base >> 1
+        packed = self.bits[h >> 3 : (h + n + 7) >> 3]
+        alive = np.unpackbits(packed, bitorder="little")[h & 7 : (h & 7) + n].view(bool)
         _strike(alive, self.small_next, self.small_p)
-        i = self.base >> 1
-        packed = self.bits[i >> 3 : (i + n + 7) >> 3]
-        alive &= np.unpackbits(packed, bitorder="little")[i & 7 : (i & 7) + n].view(bool)
-        values = self.base + 2 * np.flatnonzero(alive).astype(np.int64)
-        if lo == 1:
-            values = np.concatenate(([1], values))
+        segment = _a_segment(lo, hi, self.base, alive)
         self.skip(hi)
-        return ASegment(lo=lo, hi=hi, values=values)
+        return segment
 
     def skip(self, hi: int) -> None:
         """Move past the segment ending at hi without emitting it."""

@@ -139,7 +139,7 @@ def encode_prime_segment(block: PrimeRootBlock) -> bytes:
     pairs = np.empty(2 * count, dtype="<u8")
     pairs[0::2] = block.p
     pairs[1::2] = block.r
-    return head + pairs.tobytes()
+    return b"".join((head, memoryview(pairs)))  # one copy of the pairs
 
 
 def _header(data: bytes, magic: bytes, what: str) -> tuple:

@@ -405,7 +405,6 @@ def test_strike_count_matches_direct_model():
                 if idx < n_idx:
                     expected += (n_idx - idx + p - 1) // p
     assert stats.strikes == expected
-    assert stats.candidates == n_idx + 1
 
 
 
@@ -415,20 +414,27 @@ def test_stats_are_counted_only_on_request():
     counted = sieve_a_segment(10**5, 2 * 10**5, blocks, stats=stats)
     plain = sieve_a_segment(10**5, 2 * 10**5, blocks)
     assert np.array_equal(counted.values, plain.values)
-    assert stats == SieveStats(strikes=96507, candidates=50000, survivors=5735)
+    assert stats == SieveStats(strikes=96507)
 
 
 def test_a_segment_range_guard():
     # with no primes every even candidate survives, so only the guard can
-    # refuse a window whose candidates square past int64
-    top = sieve.MAX_ROOT_PRIME
+    # refuse a window past the candidates of every supported run
+    top = store.x_limit(store.MAX_BOUND)
+    assert top == 10**9
     empty = np.zeros(0, dtype=np.int64)
     blocks = [PrimeRootBlock(lo=1, hi=top + 10, p=empty, r=empty)]
     assert sieve_a_segment(top - 10, top, blocks).values.tolist() == list(
         range(top - 10, top, 2)
     )
-    with pytest.raises(ValueError, match="overflow int64"):
-        sieve_a_segment(top - 10, top + 10, blocks)
+    with pytest.raises(ValueError, match="above 1000000000"):
+        sieve_a_segment(top - 10, top + 1, blocks)
+
+
+def test_a_segment_window_ending_at_the_largest_x_limit(roots_1e9):
+    lo, hi = 10**9 - 3000, 10**9
+    got = sieve_a_segment(lo, hi, roots_1e9).values.tolist()
+    assert got == [x for x in range(lo, hi) if oracle.is_prime_64(x * x + 1)]
 
 
 def test_blocks_hand_out_int64_pairs():
@@ -446,7 +452,8 @@ def test_blocks_hand_out_int64_pairs():
 
 # -- first-hit kernel -----------------------------------------------------------
 
-_NARROW = 1 << 30  # _first_hits runs in int32 for top and base up to here
+_NARROW = 1 << 30  # _first_hits' int32 arithmetic holds for top and base up to here
+_X_TOP = 10**9  # its callers' limit: x_limit(10^18)
 
 
 def _block_of(lo, hi):
@@ -454,12 +461,12 @@ def _block_of(lo, hi):
 
 
 # 41k pairs below 2^20, 26k around 2^29, 25k around 2^30 with the one
-# p = x^2 + 1 there (x = 32,766) below 2^30, and 24k just below the largest
-# prime the kernel takes: each spans a chunk edge at 2^14 pairs
+# p = x^2 + 1 there (x = 32,766) below 2^30, and 25k just below 10^9 with
+# the one p = x^2 + 1 there (x = 31,614): each spans a chunk edge at 2^14 pairs
 _LOW = _block_of(1, 1 << 20)
 _MID = _block_of((1 << 29) - (1 << 19) + 1, (1 << 29) + (1 << 19))
 _EDGE = _block_of(_NARROW - (1 << 19) + 1, _NARROW + (1 << 19))
-_TOP = _block_of(_MAXP - (1 << 20) - 3, _MAXP)
+_NEAR = _block_of(_X_TOP - (1 << 20) + 1, _X_TOP)
 _WIDE = 1 << 21  # candidates per window on the large primes: a few hundred chains hit
 
 
@@ -481,28 +488,29 @@ def _first_hits_reference(block, base, n, top):
 @pytest.mark.parametrize(
     "block, base, n, top",
     [
-        # top on both sides of 2^30; past it the int64 path strikes p > 2^30
+        # top just below 2^30 and at it, and the same just below 10^9
         (_EDGE, _NARROW - 20_000, _WIDE, _NARROW - 1),
         (_EDGE, _NARROW - 20_000, _WIDE, _NARROW),
-        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW + 1),
-        (_EDGE, _NARROW - 20_000, _WIDE, _NARROW + (1 << 19)),
-        # base on both sides of 2^30, and past int32
+        (_NEAR, _X_TOP - 20_000, _WIDE, _X_TOP - 1),
+        (_NEAR, _X_TOP - 20_000, _WIDE, _X_TOP),
+        # base at the last candidates below 2^30 and 10^9, and at 2^30
         (_EDGE, _NARROW - 2, _WIDE, _NARROW),
         (_EDGE, _NARROW, _WIDE, _NARROW),
-        (_EDGE, _NARROW + 2, _WIDE, _NARROW + (1 << 19)),
-        (_EDGE, 1 << 32, _WIDE, _NARROW),
-        # x from 32,000 across 46,341 (x^2 past int32), the own hit at 32,766
+        (_NEAR, _X_TOP - 2, _WIDE, _X_TOP),
+        # x from 31,000 and 32,000 across 46,341 (x^2 past int32), with the
+        # own hits at 31,614 and 32,766
+        (_NEAR, 31_000, _WIDE, _X_TOP),
         (_EDGE, 32_000, _WIDE, _NARROW),
         (_LOW, 2, 100_000, 1 << 20),
-        # 2p < base, 2p == base and 2p > base in one chunk: the first, the
-        # second past a chunk edge, and the int64 path
+        # 2p < base, 2p == base and 2p > base in one chunk, the second past
+        # a chunk edge, and with 2p near 2 * 10^9
         (_LOW, 2 * int(_LOW.p[1000]), 5_000, 1 << 20),
         (_LOW, 2 * int(_LOW.p[(1 << 14) + 5]), 5_000, 1 << 20),
-        (_EDGE, 2 * int(_EDGE.p[20_000]), _WIDE, 1 << 32),
+        (_NEAR, 2 * int(_NEAR.p[20_000]), _WIDE, _X_TOP),
         # base just below 2p, so live hits come from offsets e - base near
-        # -2p: down to -2^30 in int32, and past -2^32 in int64
+        # -2p: down to -2^30, and to -2 * 10^9, near int32's least value
         (_MID, _NARROW - (1 << 20), _WIDE, _NARROW),
-        (_TOP, 2 * int(_TOP.p[0]) - (1 << 20), _WIDE, _MAXP),
+        (_NEAR, 2 * int(_NEAR.p[0]) - (1 << 20), _WIDE, _X_TOP),
     ],
 )
 def test_first_hits_match_python_ints(block, base, n, top):
