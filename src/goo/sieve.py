@@ -363,13 +363,13 @@ def _first_hits(
     arithmetic stays in cache; each chunk yields int64 arrays (i, p) with
     one entry per live chain.
 
-    The arithmetic runs in int32. Both callers keep top at or below
-    _X_TOP = 10^9 and base below it, so 2p < 2^31, and e, base mod 2p and
-    both signed offsets in (-2p, 2p) fit; base mod 2p is one remainder
-    over the pairs with 2p <= base only (``_mod_ascending``). The blocks
-    stay int64, because their users square r in the block's own dtype;
-    only the live hits return to int64, for the own-value test
-    x * x + 1 == p and the strikes.
+    The arithmetic runs in int32, exact while 2p and base are below 2^31,
+    so that e, base mod 2p and both signed offsets in (-2p, 2p) fit too:
+    both callers keep top and base at or below _X_TOP = 10^9. base mod 2p
+    is one remainder over the pairs with 2p <= base only
+    (``_mod_ascending``). The blocks stay int64, because their users
+    square r in the block's own dtype; only the live hits return to int64,
+    for the own-value test x * x + 1 == p and the strikes.
     """
     stop = int(np.searchsorted(block.p, top))
     size = min(stop, _CHUNK)
@@ -451,7 +451,7 @@ def sieve_a_segment(
     from the first hits that ``_first_hits`` finds (the kernel the fused
     pass shares). A candidate x whose own value x^2 + 1 equals p is the one
     legitimate survivor on its strike chain, so that first hit is skipped.
-    Each chunk of chains is cleared by ``_strike`` and counted in ``stats``.
+    Each chunk of chains is cleared by ``_strike`` and counted in any ``stats``.
 
     The blocks must tile [1, seg_hi) or beyond without holes, starting at 1;
     anything less raises IncompleteRootStreamError. seg_hi above _X_TOP =
