@@ -11,7 +11,7 @@ decoded segment arrays with no per-member Python step, and any other
 iterable of ints is read into int64 arrays. Membership lives in a packed
 bitset over even values (bit i stands for 2i, and bit 0 for the
 member 1; an odd x > 1 is never a member, since x^2 + 1 is even). It spans
-every value below ``VALUE_LIMIT``, but only the pages holding set bits
+every value below ``MAX_X_LIMIT``, but only the pages holding set bits
 become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5 MB at
 10^18. A chunk's bits are set first, by OR-ing one packed copy of the
 bytes its members span. Every difference is below its own a_n, so the
@@ -42,15 +42,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 import numpy as np
 
 from .analytics import DEFAULT_HL_CONSTANT, format_columns
-from .store import MAX_BOUND, SegmentStore, int64_chunks, x_limit
+from .store import MAX_BOUND, MAX_X_LIMIT, SegmentStore, int64_chunks
 
 CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
 SLICED = 3  # offsets tested for every member of a chunk, as slices of it
 TABLE = 1 << 16  # differences below this are read from a bool table
-# No value stored for a supported bound reaches this, and the bitset covers
-# exactly the values below it, so anything larger is refused, never indexed.
-VALUE_LIMIT = x_limit(MAX_BOUND)
 
 
 class CounterexampleFound(Exception):
@@ -76,9 +73,9 @@ def _check_next(a: int, last: int) -> None:
     """Refuse a value that does not ascend or that no supported run holds."""
     if a <= last:
         raise ValueError(f"stream must strictly ascend, got {a} after {last}")
-    if a >= VALUE_LIMIT:
+    if a >= MAX_X_LIMIT:
         raise ValueError(
-            f"value {a} is not below {VALUE_LIMIT}, the x limit of the "
+            f"value {a} is not below {MAX_X_LIMIT}, the x limit of the "
             f"largest supported bound {MAX_BOUND:.0e}"
         )
 
@@ -196,11 +193,11 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     ValueError, after the chunk's values before it have been yielded, so
     the consumer sees every error in stream order.
     """
-    # One zeroed allocation for every value below VALUE_LIMIT: 62.5 MB of
+    # One zeroed allocation for every value below MAX_X_LIMIT: 62.5 MB of
     # address space, of which only the pages holding set bits, about
     # last / 16 bytes, ever become resident. It never grows, so it is never
     # copied and leaves no freed blocks behind in the heap.
-    bits = np.zeros((VALUE_LIMIT >> 4) + 1, np.uint8)
+    bits = np.zeros((MAX_X_LIMIT >> 4) + 1, np.uint8)
     table = None
     tail = np.zeros(0, np.int64)
     last = 0
@@ -208,7 +205,7 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
         if not last and chunk[0] != 1:
             raise ValueError(f"stream must start at the first member 1, got {chunk[0]}")
         before = np.concatenate(([last], chunk[:-1]))
-        bad = np.flatnonzero((chunk <= before) | (chunk >= VALUE_LIMIT))
+        bad = np.flatnonzero((chunk <= before) | (chunk >= MAX_X_LIMIT))
         stop = int(bad[0]) if bad.size else chunk.size
         vals = chunk[:stop]
         if vals.size:
@@ -309,7 +306,7 @@ def verify_stream(
     meaningful against the full prefix.
     Raises CounterexampleFound if some member has no decomposition, and
     ValueError for an empty stream, a first value other than 1, or a value
-    that does not ascend or reaches ``VALUE_LIMIT``; whichever comes first
+    that does not ascend or reaches ``MAX_X_LIMIT``; whichever comes first
     in the stream wins, except that a value beyond int64 fails the whole
     chunk that holds it. ``store`` is accepted and not read: the bitset
     holds every member the search can need.

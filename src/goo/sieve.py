@@ -24,9 +24,11 @@ Both stay below x_limit(10^18) = 10^9, find where each prime's chains
 first hit their candidates with one int32 kernel, ``_first_hits``, in
 cache-sized chunks, and clear them by stride class. Within a segment,
 ``_strike`` clears a chain of stride below 2^13 by one slice and the rest
-in vectorised rounds, one hit per chain per round; in the fused pass a
+in vectorised rounds, one hit per chain per round. In the fused pass a
 prime from segment_len/8 up has all its hits generated on arrival and
-cleared in a bit mask.
+cleared in a bit mask; the smaller ones find their first hits in each
+segment anew, as in ``sieve_a_segment``, so no chain state passes from
+one segment to the next.
 ``shifted_square_mask`` runs stage 3 over the arguments y of the shifted
 squares (c*y + s)^2 + 1 for family scans, on rays where |c*y + s| grows.
 """
@@ -45,6 +47,7 @@ from .store import (
     KIND_A,
     KIND_PRIME,
     MAX_BOUND,
+    MAX_X_LIMIT,
     ManifestError,
     SegmentStore,
     check_geometry,
@@ -54,7 +57,6 @@ from .store import (
 _ROOT_BASE_CAP = 1000  # largest base tried for a prime's root of -1
 # largest modulus whose residues square inside int64: (p - 1)^2 <= 2^63 - 1
 MAX_ROOT_PRIME = isqrt(2**63 - 1) + 1
-_X_TOP = x_limit(MAX_BOUND)  # 10^9: every candidate of every supported run is below
 _CHUNK = 1 << 14  # pairs or primes per pass of the vector arithmetic: stays in cache
 _WINDOW = 3  # exponent bits per step of _vector_pow: a table of 2^3 rows
 # largest modulus _vector_pow reduces in float64: every product stays below 2^53
@@ -365,8 +367,8 @@ def _first_hits(
 
     The arithmetic runs in int32, exact while 2p and base are below 2^31,
     so that e, base mod 2p and both signed offsets in (-2p, 2p) fit too:
-    both callers keep top and base at or below _X_TOP = 10^9. base mod 2p
-    is one remainder over the pairs with 2p <= base only
+    every caller keeps top and base at or below MAX_X_LIMIT = 10^9. base
+    mod 2p is one remainder over the pairs with 2p <= base only
     (``_mod_ascending``). The blocks stay int64, because their users
     square r in the block's own dtype; only the live hits return to int64,
     for the own-value test x * x + 1 == p and the strikes.
@@ -454,14 +456,14 @@ def sieve_a_segment(
     Each chunk of chains is cleared by ``_strike`` and counted in any ``stats``.
 
     The blocks must tile [1, seg_hi) or beyond without holes, starting at 1;
-    anything less raises IncompleteRootStreamError. seg_hi above _X_TOP =
-    x_limit(10^18) = 10^9, past every supported run and the kernel's int32
-    arithmetic, raises ValueError.
+    anything less raises IncompleteRootStreamError. seg_hi above
+    MAX_X_LIMIT = x_limit(10^18) = 10^9, past every supported run and the
+    kernel's int32 arithmetic, raises ValueError.
     """
     if seg_lo < 1 or seg_lo >= seg_hi:
         raise ValueError("need 1 <= seg_lo < seg_hi")
-    if seg_hi > _X_TOP:
-        raise ValueError(f"seg_hi {seg_hi} above {_X_TOP}, the x_limit of {MAX_BOUND}")
+    if seg_hi > MAX_X_LIMIT:
+        raise ValueError(f"seg_hi {seg_hi} above {MAX_X_LIMIT}, the x_limit of {MAX_BOUND}")
 
     base = seg_lo + (seg_lo & 1)  # first even candidate
     n_idx = max(0, (seg_hi - base + 1) // 2)
@@ -691,43 +693,42 @@ def sieve_prime_roots(
 class _CandidateStrike:
     """The even candidates below ``limit`` that the primes fed so far leave.
 
-    Segments are taken in ascending order, from the one starting at
-    ``start``. Primes fall in three stride classes:
+    Primes fall in three stride classes:
 
     - p >= segment_len / 8 hits a segment at most eight times per root, so
-      when it is fed, all its hits from the next segment up to ``limit``
-      are generated at once, as bit indices h (the even candidate 2h) with
-      stride p, from the first hits that ``_first_hits`` finds, and cleared
-      in a bit-packed mask (limit/16 bytes); nothing about it is kept;
-    - a smaller prime keeps the index of its next hit instead, and
-      ``emit`` strikes each segment's unpacked slice of the mask with
-      ``_strike``: the chains of 2^13 <= p < segment_len / 8 in rounds,
-      one fancy index over all of them per round;
+      when it is fed, all its hits from the first pending segment up to
+      ``limit`` are generated at once, as bit indices h (the even candidate
+      2h) with stride p, from the first hits that ``_first_hits`` finds,
+      and cleared in a bit-packed mask (limit/16 bytes); nothing about it
+      is kept;
+    - a smaller prime lies in the first block fed, which ends at
+      1 + 4 * segment_len, and only its pair is kept: ``emit`` finds its
+      first hits in each segment anew, as ``sieve_a_segment`` does, and
+      strikes the segment's unpacked slice of the mask with ``_strike``:
+      the chains of 2^13 <= p < segment_len / 8 in rounds, one fancy index
+      over all of them per round;
     - and each chain of p < 2^13 by one slice.
 
-    The split at segment_len / 8 sits near the point where carrying a
-    chain from segment to segment costs as much as the generated hits it
-    replaces (about 50 ns each).
+    The split at segment_len / 8 keeps the pairs kept few (6,094 at 2^20)
+    and all in the first block. Moving it up to 4 * segment_len, that
+    block's end, made a 10^16 run no faster beyond the noise, and larger.
     """
 
-    def __init__(self, limit: int, segment_len: int, start: int):
+    def __init__(self, limit: int, segment_len: int):
         self.limit = limit
         self.slice_below = segment_len // 8
-        self.base = start + (start & 1)  # first even candidate of the next segment
         self.bits = np.full((limit + 15) // 16, 0xFF, dtype=np.uint8)
-        self.small_p = np.zeros(0, dtype=np.int64)
-        self.small_next = np.zeros(0, dtype=np.int64)  # hit index from base
+        self.small = None  # the pairs of p < slice_below, from the first block
 
-    def feed(self, block: PrimeRootBlock) -> None:
-        n = (self.limit - self.base + 1) // 2  # even candidates left
-        small_p, small_next = [self.small_p], [self.small_next]
-        for i, p in _first_hits(block, self.base, n, self.limit):
-            small = p < self.slice_below
-            small_p.append(p[small])
-            small_next.append(i[small])
-            self._clear_chains(i[~small] + (self.base >> 1), p[~small])
-        self.small_p = np.concatenate(small_p)
-        self.small_next = np.concatenate(small_next)
+    def feed(self, block: PrimeRootBlock, start: int) -> None:
+        """Clear the hits of the pairs of p >= segment_len / 8 from start on."""
+        if self.small is None:
+            k = int(np.searchsorted(block.p, self.slice_below))
+            self.small = PrimeRootBlock(None, None, block.p[:k].copy(), block.r[:k].copy())
+        base = start + (start & 1)
+        for i, p in _first_hits(block, base, (self.limit - base + 1) // 2, self.limit):
+            large = p >= self.slice_below
+            self._clear_chains(i[large] + (base >> 1), p[large])
 
     def _clear_chains(self, h: np.ndarray, step: np.ndarray) -> None:
         # live hits by bit index; one per chain per batch, so a batch never exceeds the chunk
@@ -746,22 +747,15 @@ class _CandidateStrike:
             h, step = h[live], step[live]
 
     def emit(self, lo: int, hi: int) -> ASegment:
-        """Members of A in [lo, hi), the next segment in order."""
-        n = (hi - self.base + 1) // 2
-        h = self.base >> 1
+        """Members of A in [lo, hi), once every block up to hi is fed."""
+        base = lo + (lo & 1)
+        n = (hi - base + 1) // 2
+        h = base >> 1
         packed = self.bits[h >> 3 : (h + n + 7) >> 3]
         alive = np.unpackbits(packed, bitorder="little")[h & 7 : (h & 7) + n].view(bool)
-        _strike(alive, self.small_next, self.small_p)
-        segment = _a_segment(lo, hi, self.base, alive)
-        self.skip(hi)
-        return segment
-
-    def skip(self, hi: int) -> None:
-        """Move past the segment ending at hi without emitting it."""
-        n = (hi - self.base + 1) // 2
-        hits = np.maximum((n - self.small_next + self.small_p - 1) // self.small_p, 0)
-        self.small_next += self.small_p * hits - n
-        self.base += 2 * n
+        for i, step in _first_hits(self.small, base, n, hi):
+            _strike(alive, i, step)
+        return _a_segment(lo, hi, base, alive)
 
 
 def run_pipeline(
@@ -775,15 +769,16 @@ def run_pipeline(
 
     One fused pass over the prime-root segments in order. Each block is
     sieved and annotated, or read once (digest-checked) when the store
-    already holds it, and fed to the candidate strike; every A segment
-    whose end its coverage reaches is committed right after it, so commits
-    run P0, A0, A1, P1, A2, ... A fresh run is a resume whose plan lists
-    every segment: with ``resume=True`` an existing manifest is honored and
-    only missing or corrupt segments are recomputed. ``thread_count``
-    threads sieve and annotate prime blocks ahead of the strike. Output
-    bytes depend only on (bound_b, segment_len), not on thread count or
-    interruption history. While it runs it holds a flock on ``data_dir``;
-    a second writer gets OSError.
+    already holds it and an A segment is still pending, and fed to the
+    candidate strike; every pending A segment whose end its coverage
+    reaches is committed right after it, so commits run P0, A0, A1, P1,
+    A2, ... A fresh run is a resume whose plan lists every segment: with
+    ``resume=True`` an existing manifest is honored and only missing or
+    corrupt segments are recomputed. ``thread_count`` threads sieve and
+    annotate prime blocks ahead of the strike. Output bytes depend only on
+    (bound_b, segment_len), not on thread count or interruption history.
+    While it runs it holds a flock on ``data_dir``; a second writer gets
+    OSError.
     """
 
     def tell(entry) -> None:
@@ -817,33 +812,25 @@ def run_pipeline(
             store = SegmentStore.create(data_dir, config.bound_b, config.segment_len)
         todo = set(store.resume_plan())
 
-        prime_ranges, a_ranges = store.ranges[KIND_PRIME], store.ranges[KIND_A]
-        a_todo = [i for i, (lo, hi) in enumerate(a_ranges) if (KIND_A, lo, hi) in todo]
         fresh = sieve_prime_roots(
-            [(lo, hi) for lo, hi in prime_ranges if (KIND_PRIME, lo, hi) in todo],
+            [(lo, hi) for lo, hi in store.ranges[KIND_PRIME] if (KIND_PRIME, lo, hi) in todo],
             thread_count=config.thread_count,
         )
-        k, a_end = (a_todo[0], a_todo[-1] + 1) if a_todo else (0, 0)
-        if a_todo:
-            strike = _CandidateStrike(
-                x_limit(config.bound_b), config.segment_len, a_ranges[k][0]
-            )
-        for lo, hi in prime_ranges:
+        # the A ranges to write, the next one last
+        pending = [r for r in reversed(store.ranges[KIND_A]) if (KIND_A, *r) in todo]
+        if pending:
+            strike = _CandidateStrike(x_limit(config.bound_b), config.segment_len)
+        for lo, hi in store.ranges[KIND_PRIME]:
             if (KIND_PRIME, lo, hi) in todo:
                 block = next(fresh)
                 tell(store.write_prime_segment(block))
-            elif k < a_end:
+            elif pending:
                 block = store.read_prime_block(lo, hi)
-            if k >= a_end:
+            if not pending:
                 continue
-            strike.feed(block)
-            while k < a_end and a_ranges[k][1] <= hi:
-                a_lo, a_hi = a_ranges[k]
-                if (KIND_A, a_lo, a_hi) in todo:
-                    tell(store.write_a_segment(strike.emit(a_lo, a_hi)))
-                else:
-                    strike.skip(a_hi)
-                k += 1
+            strike.feed(block, pending[-1][0])
+            while pending and pending[-1][1] <= hi:
+                tell(store.write_a_segment(strike.emit(*pending.pop())))
 
         store.finalize()
     finally:

@@ -102,6 +102,9 @@ def x_limit(bound_b: int) -> int:
     return isqrt(bound_b - 2) + 1
 
 
+MAX_X_LIMIT = x_limit(MAX_BOUND)  # 10^9: every candidate of every supported run is below
+
+
 def _tiling(limit: int, first_hi: int, span: int) -> list:
     """Ranges [lo, hi) tiling [1, limit): the first ends at first_hi (or
     limit), each later one is span long, and the last ends at limit."""
@@ -169,7 +172,7 @@ def decode_prime_segment(data: bytes) -> PrimeRootBlock:
             raise CorruptSegmentError("prime outside declared range")
         if np.any(np.diff(p) <= 0):
             raise CorruptSegmentError("primes not strictly ascending")
-        if p[-1] >= x_limit(MAX_BOUND):
+        if p[-1] >= MAX_X_LIMIT:
             raise CorruptSegmentError("prime beyond every supported run")
         # the canonical root: 1 <= r <= (p - 1) / 2, so r * r < 2^60
         if np.any((r < 1) | (2 * r >= p)):
@@ -468,7 +471,7 @@ class SegmentStore:
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         for kind in (KIND_PRIME, KIND_A):
-            for stale in root.glob(f"{kind}-*.bin"):
+            for stale in root.glob(f"{kind}-*.bin*"):  # and crashed writes' .bin.tmp
                 stale.unlink()
         manifest = RunManifest(int(bound_b), int(segment_len), "in_progress", [])
         store = cls(root, manifest)

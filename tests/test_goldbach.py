@@ -218,8 +218,8 @@ def test_mark_sets_exactly_the_given_bits(gap):
 
 
 def test_values_beyond_supported_runs_are_refused():
-    # the bitset covers the values below VALUE_LIMIT and nothing else
-    for stream in ([1, 2, 10**12], [1, 2, 10**30], [1, 2, goldbach.VALUE_LIMIT]):
+    # the bitset covers the values below MAX_X_LIMIT and nothing else
+    for stream in ([1, 2, 10**12], [1, 2, 10**30], [1, 2, store.MAX_X_LIMIT]):
         with pytest.raises(ValueError, match="below"):
             verify_stream(stream)
     state = VerifierState()

@@ -312,15 +312,19 @@ def test_is_prime_64_matches_oracle():
         assert is_prime_64(p) and not is_prime_64(p * q), (p, q)
 
 
-def test_demo_runs():
+def _run_demo(name, *args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "demo_hypotheses.py")],
+        [sys.executable, str(ROOT / "demos" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_demo_runs():
+    lines = _run_demo("demo_hypotheses.py")
     assert "  3332 arguments where both values are prime" in lines
     checkpoints = [line for line in lines if line.startswith("  through")]
     assert checkpoints == [
@@ -331,6 +335,13 @@ def test_demo_runs():
         "  through  100000: 1809 hits, shape constant 2.3978",
         "  through  200000: 3332 hits, shape constant 2.4821",
     ]
+
+
+def test_pipeline_demo_runs(tmp_path):
+    # a fresh store through resume=True, then the complete one
+    for _ in range(2):
+        lines = _run_demo("demo_pipeline.py", str(tmp_path / "data"))
+        assert any(line.startswith("54110 values in ") for line in lines)
 
 
 def test_scan_csv():

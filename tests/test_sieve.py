@@ -764,9 +764,9 @@ def test_fused_pass_across_kernel_chunks(tmp_path, brute_a_1e5):
 
 
 def test_fused_pass_strikes_medium_strides_in_rounds(tmp_path, brute_a_1e5):
-    # at segment_len 2^17 emit carries the primes below 2^14 from segment to
-    # segment, and _strike clears those of stride 2^13 and up in rounds;
-    # x = 94 and x = 110 survive their own chains among them
+    # at segment_len 2^17 emit finds the first hits of the primes below 2^14
+    # in each segment anew, and _strike clears those of stride 2^13 and up in
+    # rounds; x = 94 and x = 110 survive their own chains among them
     bound, segment_len = 10**12, 1 << 17
     runs = [
         run_pipeline(SieveConfig(bound, segment_len, thread_count=t), tmp_path / str(t))
@@ -859,6 +859,53 @@ def test_resume_rewrites_corrupted_segments(tmp_path):
         f"commit {e.kind} [{e.lo},{e.hi}) count={e.count}" for e in broken
     ] + ["complete"]
     assert _files(work) == _files(clean.root)
+
+
+def test_resume_reads_the_intact_prime_blocks_up_to_the_last_pending_a(
+    tmp_path, monkeypatch
+):
+    cfg = SieveConfig(bound_b=10**9, segment_len=1024)
+    clean = run_pipeline(cfg, tmp_path / "clean")
+    prime_entries = clean.manifest.entries_of(store.KIND_PRIME)
+    a_entries = clean.manifest.entries_of(store.KIND_A)
+    real = store.SegmentStore.read_prime_block
+    reads = []
+
+    def counted(self, lo, hi):
+        reads.append(lo)
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(store.SegmentStore, "read_prime_block", counted)
+    seen = []
+    for k, broken in enumerate(
+        ([prime_entries[1]], [prime_entries[1], a_entries[5], a_entries[9]])
+    ):
+        work = tmp_path / f"work-{k}"
+        shutil.copytree(clean.root, work)
+        for entry in broken:
+            path = work / entry.filename
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+        reads.clear()
+        run_pipeline(cfg, work, resume=True)
+        assert _files(work) == _files(clean.root)
+        seen.append(list(reads))
+    # a damaged prime block alone feeds no strike; with A segments 5 and 9
+    # pending, every intact block up to the one covering segment 9 is read
+    assert seen == [[], [1, 8193, 12289, 16385]]
+
+
+def test_fresh_run_deletes_stale_temp_files(tmp_path):
+    cfg = SieveConfig(bound_b=10**8, segment_len=1024)
+    clean = _files(run_pipeline(cfg, tmp_path / "clean").root)
+    work = tmp_path / "work"
+    work.mkdir()
+    # what crashed writes of another geometry leave: temp files and segments
+    for name in ("a_values-00009.bin.tmp", "prime_root-00001.bin.tmp", "a_values-00007.bin"):
+        (work / name).write_bytes(b"stale")
+    run_pipeline(cfg, work)
+    assert _files(work) == clean
 
 
 class _Kill(Exception):
