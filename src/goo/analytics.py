@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .store import int64_chunks
+from .store import MAX_X_LIMIT, int64_chunks
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -44,11 +44,15 @@ def compute_cq(prime_limit) -> float:
     """Truncated Euler product defining the constant, over odd p <= limit.
 
     Converges like 1/limit, so 10^5 gives ~4 digits and 10^8 ~6. Used to
-    cross-check DEFAULT_HL_CONSTANT, not to replace it.
+    cross-check DEFAULT_HL_CONSTANT, not to replace it. A limit above
+    ``MAX_X_LIMIT``, the largest range any sieve here runs, raises
+    ValueError before anything is allocated.
     """
     limit = int(prime_limit)
     if limit < 3:
         raise ValueError("prime_limit must be at least 3")
+    if limit > MAX_X_LIMIT:
+        raise ValueError(f"prime_limit above {MAX_X_LIMIT:.0e} is not supported")
     from .sieve import small_primes
 
     odd = small_primes(limit)[1:]

@@ -58,6 +58,14 @@ def _parse_number(text: str) -> int:
     return int(value)
 
 
+def _parse_points(text: str) -> list:
+    """Comma-separated numbers, as ``_parse_number`` reads each; at least one."""
+    points = [_parse_number(s) for s in text.split(",") if s.strip()]
+    if not points:
+        raise UsageError("--at needs at least one point")
+    return points
+
+
 def _data_dir(explicit) -> Path:
     if explicit:
         return Path(explicit)
@@ -77,11 +85,13 @@ def _usable_cpus() -> int:
 
 def build_parser() -> _Parser:
     top = _Parser(prog="goo", description=__doc__)
-    sub = top.add_subparsers(dest="command", metavar="COMMAND")
+    sub = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("sieve", help="sieve all values below a bound")
-    p.add_argument("--limit", required=True, help="bound on a^2+1, e.g. 1e12")
-    p.add_argument("--segment", default=str(1 << 20), help="segment length")
+    p.add_argument(
+        "--limit", type=_parse_number, required=True, help="bound on a^2+1, e.g. 1e12"
+    )
+    p.add_argument("--segment", type=_parse_number, default=1 << 20, help="segment length")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument(
         "--threads",
@@ -104,30 +114,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="counts against both density models")
     p.add_argument("--data", default=None)
-    p.add_argument("--at", required=True, help="points, e.g. 1e6,1e9,1e12")
+    p.add_argument(
+        "--at", type=_parse_points, required=True, help="points, e.g. 1e6,1e9,1e12"
+    )
     p.add_argument("--csv", default=None, help="also write CSV here")
     p.add_argument("--json", action="store_true", help="print the rows as JSON")
 
     p = sub.add_parser("cq", help="recompute the density constant")
-    p.add_argument("--prime-limit", default="1e6")
+    p.add_argument(
+        "--prime-limit", type=_parse_number, default=10**6, help="at most 1e9 (peak RSS 2 GB)"
+    )
 
     p = sub.add_parser("hyp", help="polynomial family tools")
-    hyp_sub = p.add_subparsers(dest="hyp_command", metavar="check|scan")
+    hyp_sub = p.add_subparsers(dest="hyp_command", metavar="check|scan", required=True)
     c = hyp_sub.add_parser("check", help="local obstruction test")
     c.add_argument("--poly", action="append", required=True, metavar="SPEC")
     s = hyp_sub.add_parser("scan", help="simultaneous prime arguments")
     s.add_argument("--poly", action="append", required=True, metavar="SPEC")
-    s.add_argument("--limit", required=True)
+    s.add_argument("--limit", type=_parse_number, required=True)
     s.add_argument("--csv", default=None)
 
     p = sub.add_parser("oracle", help="brute-force spot checks")
-    o_sub = p.add_subparsers(dest="oracle_command", metavar="a|prime|j")
+    o_sub = p.add_subparsers(dest="oracle_command", metavar="a|prime|j", required=True)
     a = o_sub.add_parser("a", help="enumerate members directly")
-    a.add_argument("--limit", required=True)
+    a.add_argument("--limit", type=_parse_number, required=True)
     pr = o_sub.add_parser("prime", help="deterministic primality")
-    pr.add_argument("n")
+    pr.add_argument("n", type=_parse_number)
     j = o_sub.add_parser("j", help="decomposition offsets, quadratic time")
-    j.add_argument("--limit", required=True)
+    j.add_argument("--limit", type=_parse_number, required=True)
 
     return top
 
@@ -139,12 +153,10 @@ def _progress_writer(quiet: bool):
 
 
 def _cmd_sieve(args) -> int:
-    bound = _parse_number(args.limit)
-    seg = _parse_number(args.segment)
-    with _usage_errors(ValueError):
-        config = sieve.SieveConfig(bound_b=bound, segment_len=seg, thread_count=args.threads)
     # more threads than CPUs add blocks in flight, not speed
-    config = dataclasses.replace(config, thread_count=min(args.threads, _usable_cpus()))
+    threads = min(args.threads, _usable_cpus())
+    with _usage_errors(ValueError):
+        config = sieve.SieveConfig(args.limit, args.segment, thread_count=threads)
     out = _data_dir(args.out)
     if not args.resume and _holds_complete_run(out):
         raise UsageError(
@@ -216,6 +228,8 @@ def _cmd_verify(args) -> int:
         report = goldbach.verify_stream(
             st.read_a_stream(), progress=_progress_writer(args.quiet)
         )
+    except ValueError as e:  # the stored values are not A's ascending prefix
+        raise store.StoreError(str(e)) from None
     except goldbach.CounterexampleFound as e:
         if args.json:
             print(json.dumps({"counterexample": {"n": e.n, "a_n": e.a_n}}))
@@ -237,14 +251,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count(args) -> int:
     st = store.SegmentStore.open(_data_dir(args.data))
-    points = [_parse_number(s) for s in args.at.split(",") if s.strip()]
-    if not points:
-        raise UsageError("--at needs at least one point")
     limit = store.x_limit(st.manifest.bound_b)
     with _usage_errors(ValueError):  # StreamTooShortError among them
-        rows = analytics.count_table(
-            st.read_a_stream(), points, covered_to=limit
-        )
+        rows = analytics.count_table(st.read_a_stream(), args.at, covered_to=limit)
     if args.json:
         print(json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}))
     else:
@@ -256,19 +265,16 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_cq(args) -> int:
-    limit = _parse_number(args.prime_limit)
     with _usage_errors(ValueError):
-        computed = analytics.compute_cq(limit)
+        computed = analytics.compute_cq(args.prime_limit)
     stored = analytics.DEFAULT_HL_CONSTANT
     print(f"stored   {stored:.13f}")
-    print(f"computed {computed:.13f}  (odd primes to {limit})")
+    print(f"computed {computed:.13f}  (odd primes to {args.prime_limit})")
     print(f"delta    {abs(computed - stored):.3e}")
     return EX_OK
 
 
 def _cmd_hyp(args) -> int:
-    if args.hyp_command not in ("check", "scan"):
-        raise UsageError("hyp needs a subcommand: check or scan")
     with _usage_errors(ValueError):
         polys = [hypotheses.parse_polynomial(s) for s in args.poly]
     if args.hyp_command == "check":
@@ -278,9 +284,8 @@ def _cmd_hyp(args) -> int:
         else:
             print(f"violated {bad}")
         return EX_OK
-    limit = _parse_number(args.limit)
     with _usage_errors(ValueError, hypotheses.ValueOverflowError):
-        result = hypotheses.simultaneous_prime_scan(polys, limit)
+        result = hypotheses.simultaneous_prime_scan(polys, args.limit)
     print(f"hits {result.count}")
     for cp in result.checkpoints:
         print(f"through {cp.y}: {cp.hits} hits, shape constant {cp.fitted_constant:.4f}")
@@ -295,32 +300,25 @@ def _cmd_hyp(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.oracle_command == "a":
-        limit = _parse_number(args.limit)
         with _usage_errors(ValueError):
-            for a in oracle.brute_a(limit):
+            for a in oracle.brute_a(args.limit):
                 print(a)
         return EX_OK
     if args.oracle_command == "prime":
-        n = _parse_number(args.n)
         with _usage_errors(ValueError):
-            prime = oracle.is_prime_64(n)
+            prime = oracle.is_prime_64(args.n)
         print("prime" if prime else "composite")
         return EX_OK
-    if args.oracle_command == "j":
-        limit = _parse_number(args.limit)
-        with _usage_errors(ValueError):
-            members = oracle.brute_a(limit)
-        for n in range(2, len(members) + 1):
-            print(f"{n},{members[n - 1]},{oracle.brute_j(members, n)}")
-        return EX_OK
-    raise UsageError("oracle needs a subcommand: a, prime, or j")
+    with _usage_errors(ValueError):
+        members = oracle.brute_a(args.limit)
+    for n in range(2, len(members) + 1):
+        print(f"{n},{members[n - 1]},{oracle.brute_j(members, n)}")
+    return EX_OK
 
 
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        raise UsageError("a command is required")
     handler = {
         "sieve": _cmd_sieve,
         "status": _cmd_status,

@@ -21,14 +21,12 @@ The chunk's members sit contiguously after the carried tail, so for each
 of the first ``SLICED`` offsets k, a_n - a_{n-k} for all of them is one
 slice subtraction, with no gather. A difference below ``TABLE`` is read
 from a bool table over d, built from the bitset's first bytes while the
-stream is still below TABLE; a larger one from the bitset. At 10^16, 85%
-of the members resolve within three offsets, and no tested difference
-exceeds 1,306. The rest, and any odd value, go on offset by offset: for
-k = SLICED + 1, ... (odd values from k = 1) every value still unresolved
-tests a_n - a_{n-k} at once. The last ``TAIL`` members carry over to the
-next chunk; a value whose j lies beyond them walks the bitset downward,
-which is the whole member set, so no store is read. Observed j values are
-small (the record below 10^16 is 52).
+stream is still below TABLE; a larger one from the bitset. The rest, and
+any odd value, go on offset by offset: for k = SLICED + 1, ... (odd values
+from k = 1) every value still unresolved tests a_n - a_{n-k} at once. The
+last ``TAIL`` members carry over to the next chunk; a value whose j lies
+beyond them walks the bitset downward, which is the whole member set, so
+no store is read.
 
 ``VerifierState`` and ``j_of`` are the scalar form of the same rule, one
 member at a time, kept as the reference the batch path is tested against.
@@ -48,6 +46,7 @@ CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
 SLICED = 3  # offsets tested for every member of a chunk, as slices of it
 TABLE = 1 << 16  # differences below this are read from a bool table
+PROGRESS_EVERY = 1_000_000  # members between two progress lines
 
 
 class CounterexampleFound(Exception):
@@ -296,7 +295,6 @@ def verify_stream(
     *,
     store: Optional[SegmentStore] = None,
     progress=None,
-    progress_every: int = 1_000_000,
 ) -> VerificationReport:
     """Check every member of an ascending complete stream of A.
 
@@ -309,7 +307,8 @@ def verify_stream(
     that does not ascend or reaches ``MAX_X_LIMIT``; whichever comes first
     in the stream wins, except that a value beyond int64 fails the whole
     chunk that holds it. ``store`` is accepted and not read: the bitset
-    holds every member the search can need.
+    holds every member the search can need. ``progress``, when given, is
+    called with a line every ``PROGRESS_EVERY`` members.
     """
     count = last = max_j = 1
     champions: list = []
@@ -318,7 +317,7 @@ def verify_stream(
         missing = np.flatnonzero(j == 0)
         done = int(missing[0]) if missing.size else j.size
         if progress is not None:
-            step = progress_every
+            step = PROGRESS_EVERY
             for n in range(count - count % step + step, count + done + 1, step):
                 progress(f"verified through member #{n} = {vals[n - count - 1]}")
         if missing.size:

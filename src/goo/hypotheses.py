@@ -25,6 +25,7 @@ from .sieve import shifted_square_fits, shifted_square_mask, small_primes
 
 _SCAN_FILTER_LIMIT = 97  # pre-filter removes multiples of primes up to here
 _SCAN_FILTER_CHUNK = 1 << 15  # arguments y per pass of the pre-filter
+_SHIFT_BUDGET = 10**6  # candidates construct_shifts scans before giving up
 # Deterministic for every n < 3.18e23 (the least strong pseudoprime to
 # all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -67,12 +68,6 @@ class IntPolynomial:
         acc = 0
         for c in self.coefficients:
             acc = acc * y + c
-        return acc
-
-    def eval_mod(self, y: int, mod: int) -> int:
-        acc = 0
-        for c in self.coefficients:
-            acc = (acc * y + c) % mod
         return acc
 
     def eval_array(self, y: np.ndarray) -> np.ndarray:
@@ -210,7 +205,7 @@ def bunyakovsky_check(polys: Sequence[IntPolynomial]) -> Optional[int]:
         candidates |= {p for p in _prime_factors(gcd(*f.coefficients)) if p > total_degree}
     for p in sorted(candidates):
         if p > total_degree or all(
-            math.prod(f.eval_mod(a, p) for f in polys) % p == 0 for a in range(p)
+            math.prod(f(a) for f in polys) % p == 0 for a in range(p)
         ):
             return p
     return None
@@ -230,8 +225,6 @@ def residue_certificate(poly: IntPolynomial, p: int) -> set:
 def construct_shifts(
     k: int,
     avoid: Union[Callable[[int], bool], Iterable[int], None] = None,
-    *,
-    budget: int = 10**6,
 ) -> list:
     """k ascending multiples of P, the product of the primes p <= 2k.
 
@@ -239,7 +232,7 @@ def construct_shifts(
     + 1 is 1 mod p; the product of the family is monic of degree 2k, so no
     larger p divides it at every x, and the family has no local
     obstruction. Values in ``avoid`` (a set or a predicate) are skipped;
-    scanning more than ``budget`` candidates raises
+    scanning more than ``_SHIFT_BUDGET`` candidates raises
     SearchBudgetExceededError.
     """
     if k < 1:
@@ -254,18 +247,14 @@ def construct_shifts(
 
     modulus = math.prod(small_primes(2 * k).tolist())
     shifts = []
-    candidate = 0
-    scanned = 0
-    while len(shifts) < k:
-        if scanned > budget:
-            raise SearchBudgetExceededError(
-                f"scanned {scanned} candidates for {k} shifts, found {len(shifts)}"
-            )
+    for candidate in range(0, (_SHIFT_BUDGET + 1) * modulus, modulus):
         if not in_avoid(candidate):
             shifts.append(candidate)
-        candidate += modulus
-        scanned += 1
-    return shifts
+            if len(shifts) == k:
+                return shifts
+    raise SearchBudgetExceededError(
+        f"scanned {_SHIFT_BUDGET + 1} candidates for {k} shifts, found {len(shifts)}"
+    )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _BRUTE_A_CAP = 10**7
 
+_BASE_CAP = 1000  # sqrt_minus_one tries the prime bases up to this
+
 # the largest list brute_a has built: every a <= _built_limit in A
 _built_limit, _built = 0, []
 
@@ -74,23 +76,24 @@ def _candidate_bases(cap: int):
             yield n
 
 
-def sqrt_minus_one(p: int, base_cap: int = 1000) -> int:
+def sqrt_minus_one(p: int) -> int:
     """Canonical square root of -1 mod p for a prime p = 1 (mod 4).
 
-    Tries t = n^((p-1)/4) for bases n = 2, 3, 5, 7, ... and accepts the
-    first t with t^2 = -1 (mod p). A fixed base is not enough: the base
-    must be a quadratic non-residue mod p, so roughly every second prime
-    works. Returns min(t, p-t), the root below p/2.
+    Tries t = n^((p-1)/4) for the prime bases n = 2, 3, 5, 7, ... up to
+    ``_BASE_CAP`` and accepts the first t with t^2 = -1 (mod p). A fixed
+    base is not enough: the base must be a quadratic non-residue mod p, so
+    roughly every second prime works. Returns min(t, p-t), the root below
+    p/2.
     """
     if p % 4 != 1:
         raise NotOneModFourError(f"p={p} is not 1 mod 4")
     exp = (p - 1) // 4
-    for base in _candidate_bases(base_cap):
+    for base in _candidate_bases(_BASE_CAP):
         t = pow(base % p, exp, p)
         if t * t % p == p - 1:
             return min(t, p - t)
     raise NoRootFoundError(
-        f"no base <= {base_cap} yields a root of -1 mod {p}; "
+        f"no base <= {_BASE_CAP} yields a root of -1 mod {p}; "
         f"{p} is likely composite (corrupt input)"
     )
 

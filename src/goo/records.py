@@ -1,7 +1,7 @@
 """Record types shared by the sieves and the segment store."""
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,3 @@ class ASegment:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values.tolist())

@@ -709,9 +709,8 @@ class _CandidateStrike:
       over all of them per round;
     - and each chain of p < 2^13 by one slice.
 
-    The split at segment_len / 8 keeps the pairs kept few (6,094 at 2^20)
-    and all in the first block. Moving it up to 4 * segment_len, that
-    block's end, made a 10^16 run no faster beyond the noise, and larger.
+    The split at segment_len / 8 keeps the pairs kept few and all in the
+    first block.
     """
 
     def __init__(self, limit: int, segment_len: int):

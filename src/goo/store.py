@@ -18,7 +18,6 @@ import hashlib
 import os
 import re
 import struct
-from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -208,7 +207,7 @@ def _decode_deltas(payload: bytes, expect: int) -> np.ndarray:
 
     A byte below 0x80 ends a varint, so those bytes in order are the
     one-byte deltas and the top 7 bits of the longer ones. The continuation
-    bytes, a few in ten thousand at 10^16, are folded into their varints.
+    bytes are folded into their varints.
     """
     buf = np.frombuffer(payload, dtype=np.uint8)
     if buf.size == 0:
@@ -327,10 +326,6 @@ class ManifestEntry:
     filename: str
 
 
-def _entry_order(entry: ManifestEntry) -> tuple:
-    return entry.kind, entry.lo
-
-
 @dataclass
 class RunManifest:
     bound_b: int
@@ -338,12 +333,9 @@ class RunManifest:
     status: str  # "in_progress" | "complete"
     entries: list
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=_entry_order)
-
     def entries_of(self, kind: str) -> list:
-        """The entries of one kind, ascending by lo (``entries`` is kept sorted)."""
-        return [e for e in self.entries if e.kind == kind]
+        """The entries of one kind, ascending by lo: the manifest's one order."""
+        return sorted((e for e in self.entries if e.kind == kind), key=lambda e: e.lo)
 
     @property
     def complete(self) -> bool:
@@ -431,10 +423,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # the store
 
@@ -510,10 +498,10 @@ class SegmentStore:
             )
         filename = f"{kind}-{index:05d}.bin"
         _atomic_write(self.root / filename, data)
-        entry = ManifestEntry(kind, lo, hi, count, _sha256(data), filename)
+        digest = hashlib.sha256(data).hexdigest()
+        entry = ManifestEntry(kind, lo, hi, count, digest, filename)
         entries = [e for e in self.manifest.entries if (e.kind, e.lo) != (kind, lo)]
-        insort(entries, entry, key=_entry_order)
-        self.manifest.entries = entries
+        self.manifest.entries = [*entries, entry]
         self._write_manifest()
         return entry
 
@@ -549,7 +537,7 @@ class SegmentStore:
             data = (self.root / entry.filename).read_bytes()
         except FileNotFoundError:
             raise CorruptSegmentError(f"segment file missing: {entry.filename}") from None
-        if _sha256(data) != entry.digest:
+        if hashlib.sha256(data).hexdigest() != entry.digest:
             raise CorruptSegmentError(f"digest mismatch in {entry.filename}")
         magic = PRIME_MAGIC if kind == KIND_PRIME else A_MAGIC
         if _header(data, magic, kind) != (lo, hi, entry.count):

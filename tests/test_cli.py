@@ -306,14 +306,31 @@ def test_verify_json_is_the_whole_report(run_1e6, capsys):
     assert sum(got["j_histogram"].values()) == got["verified"]
 
 
-def test_verify_json_counterexample(tmp_path, capsys):
-    st = store.SegmentStore.create(tmp_path / "d", 10**4, 1024)
+def _store_of(root: Path, values: list) -> str:
+    """A complete, digest-valid store at 10^4 whose one A segment holds values."""
+    st = store.SegmentStore.create(root, 10**4, 1024)
     (lo, hi), = store.a_segment_ranges(10**4, 1024)
-    st.write_a_segment(ASegment(lo=lo, hi=hi, values=np.array([1, 2, 4, 9], np.int64)))
+    st.write_a_segment(ASegment(lo=lo, hi=hi, values=np.array(values, np.int64)))
     st.finalize()
-    code = cli.main(["verify", "--data", str(tmp_path / "d"), "--quiet", "--json"])
-    assert code == 2
-    assert json.loads(capsys.readouterr().out) == {"counterexample": {"n": 4, "a_n": 9}}
+    return str(root)
+
+
+def test_verify_json_counterexample(tmp_path, capsys):
+    data = _store_of(tmp_path / "d", [1, 2, 4, 9])
+    for flags, want in (
+        (["--json"], '{"counterexample": {"n": 4, "a_n": 9}}\n'),
+        ([], "counterexample member 4 value 9\n"),
+    ):
+        assert cli.main(["verify", "--data", data, "--quiet", *flags]) == 2
+        assert capsys.readouterr().out == want
+
+
+def test_verify_of_values_that_are_not_a_prefix_of_a_is_data_error(tmp_path, capsys):
+    # the digests hold, but the stream does not start at the member 1
+    assert cli.main(["verify", "--data", _store_of(tmp_path / "d", [2, 4, 6])]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error: stream must start at the first member 1, got 2" in captured.err
 
 
 def test_verify_missing_data_dir(tmp_path):
@@ -364,6 +381,11 @@ def test_count_beyond_coverage(run_1e6):
     assert cli.main(["count", "--data", str(run_1e6), "--at", "1e8"]) == 64
 
 
+def test_count_needs_a_point(run_1e6, capsys):
+    assert cli.main(["count", "--data", str(run_1e6), "--at", ","]) == 64
+    assert "--at needs at least one point" in capsys.readouterr().err
+
+
 # -- cq -----------------------------------------------------------------------
 
 
@@ -376,9 +398,18 @@ def test_cq_output(capsys):
     assert "delta" in out
 
 
-def test_cq_bad_prime_limit(capsys):
-    assert cli.main(["cq", "--prime-limit", "2"]) == 64
-    assert "prime_limit must be at least 3" in capsys.readouterr().err
+def test_cq_bad_prime_limit(monkeypatch, capsys):
+    # a sieve to 10^13 would ask for terabytes; it is refused before it starts
+    def refuse(limit):
+        raise AssertionError(f"small_primes({limit}) was called")
+
+    monkeypatch.setattr(sieve, "small_primes", refuse)
+    for limit, message in (
+        ("2", "prime_limit must be at least 3"),
+        ("1e13", "prime_limit above 1e+09 is not supported"),
+    ):
+        assert cli.main(["cq", "--prime-limit", limit]) == 64
+        assert message in capsys.readouterr().err
 
 
 # -- hyp ----------------------------------------------------------------------

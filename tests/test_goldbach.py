@@ -169,9 +169,9 @@ def _streams(draw):
 def test_batch_matches_scalar_reference(values, chunk, tail, every):
     state, failure, want = _scalar_run(values, every)
     seen = []
-    with _tiny(chunk, tail):
+    with _tiny(chunk, tail), mock.patch.object(goldbach, "PROGRESS_EVERY", every):
         try:
-            report = verify_stream(values, progress=seen.append, progress_every=every)
+            report = verify_stream(values, progress=seen.append)
         except CounterexampleFound as e:
             assert (e.n, e.a_n) == failure
         else:
@@ -297,11 +297,10 @@ def test_champions_csv():
     assert buf.getvalue() == "n,a_n,j\n16,74,3\n55,384,6\n"
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
+    monkeypatch.setattr(goldbach, "PROGRESS_EVERY", 2)
     seen = []
-    verify_stream(
-        [1, 2, 4, 6, 10], progress=seen.append, progress_every=2
-    )
+    verify_stream([1, 2, 4, 6, 10], progress=seen.append)
     assert seen == [
         "verified through member #2 = 2",
         "verified through member #4 = 6",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from goo import oracle, sieve
+from goo import hypotheses, oracle, sieve
 from goo.hypotheses import (
     IntPolynomial,
     ScanCheckpoint,
@@ -62,7 +62,6 @@ def test_polynomial_evaluation():
     assert Y2P1(7) == 50
     assert SQ65_1(1) == 66 * 66 + 1 == 4357
     assert SQ65_9(1) == 74 * 74 + 1 == 5477
-    assert PAIR[1].eval_mod(9, 5) == (7 * 7 + 1) % 5
     got = Y2P1.eval_array(np.arange(4, dtype=np.int64))
     assert got.tolist() == [1, 2, 5, 10]
 
@@ -158,11 +157,12 @@ def test_construct_shifts_family_has_no_obstruction():
     assert bunyakovsky_check(family) is None
 
 
-def test_construct_shifts_avoidance():
+def test_construct_shifts_avoidance(monkeypatch):
     assert construct_shifts(3, avoid={0, 30}) == [60, 90, 120]
     assert construct_shifts(3, avoid=lambda v: v == 30) == [0, 60, 90]
+    monkeypatch.setattr(hypotheses, "_SHIFT_BUDGET", 100)
     with pytest.raises(SearchBudgetExceededError):
-        construct_shifts(2, avoid=lambda v: True, budget=100)
+        construct_shifts(2, avoid=lambda v: True)
     with pytest.raises(ValueError):
         construct_shifts(0)
 
@@ -227,6 +227,27 @@ def test_scan_sends_scales_past_int64_to_the_filter():
     assert shifted_square_fits([(top - 1, -(top - 2))], 1)
     assert (top - 2) * (top - 1) + 1 < 1 << 63
 
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        [IntPolynomial((2, 0, 1))],  # a leading coefficient that is no square
+        [IntPolynomial((1, 1, 1))],  # y^2 + y + 1: an odd middle coefficient
+        [Y2P1, IntPolynomial((2, 1))],  # a member of degree 1
+    ],
+    ids=["2y^2+1", "y^2+y+1", "degree-1"],
+)
+def test_scan_of_other_families_takes_the_filter_route(family, monkeypatch):
+    # no such family is all shifted squares, so the strike must not run
+    monkeypatch.setattr(hypotheses, "shifted_square_mask", None)
+    want = [
+        y for y in range(2001)
+        if all(oracle.is_prime_64(f(y)) for f in family)
+        and len({f(y) for f in family}) == len(family)
+    ]
+    assert want
+    assert simultaneous_prime_scan(family, 2000).hits == want
 
 def test_square_strike_refuses_a_member_sharing_a_factor_with_its_scale():
     # gcd(c, s^2 + 1) > 1 puts that factor in every value, and the strike,

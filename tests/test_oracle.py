@@ -111,10 +111,10 @@ def test_sqrt_minus_one_rejects_wrong_class():
 def test_sqrt_minus_one_composite_failure():
     # 21 = 1 mod 4 but -1 is not a square mod 3, so no root exists at all
     with pytest.raises(sieve.NoRootFoundError):
-        oracle.sqrt_minus_one(21, base_cap=100)
+        oracle.sqrt_minus_one(21)
     # 25 has roots of -1, but never hits one via the exponent recipe
     with pytest.raises(sieve.NoRootFoundError):
-        oracle.sqrt_minus_one(25, base_cap=100)
+        oracle.sqrt_minus_one(25)
 
 
 def test_brute_a_prefix():
