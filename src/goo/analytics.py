@@ -56,9 +56,12 @@ def compute_cq(prime_limit) -> float:
     from .sieve import small_primes
 
     odd = small_primes(limit)[1:]
-    chi = np.where(odd % 4 == 1, 1.0, -1.0)
-    p = odd.astype(np.float64)
-    return float(np.exp(np.log1p(-chi / (p - 1.0)).sum()))
+    total = 0.0
+    for i in range(0, odd.size, CHUNK):
+        p = odd[i : i + CHUNK]
+        chi = np.where(p % 4 == 1, 1.0, -1.0)
+        total += np.log1p(-chi / (p - 1.0)).sum()
+    return float(np.exp(total))
 
 
 def li(t: float) -> float:

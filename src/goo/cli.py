@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cq", help="recompute the density constant")
     p.add_argument(
-        "--prime-limit", type=_parse_number, default=10**6, help="at most 1e9 (peak RSS 2 GB)"
+        "--prime-limit", type=_parse_number, default=10**6, help="at most 1e9 (peak RSS 900 MB)"
     )
 
     p = sub.add_parser("hyp", help="polynomial family tools")
@@ -208,18 +208,6 @@ def _cmd_status(args) -> int:
     return EX_OK
 
 
-def _report_json(report: goldbach.VerificationReport) -> dict:
-    """The whole report as JSON data; histogram keys become strings."""
-    return {
-        "members": report.members,
-        "verified": report.verified,
-        "last_member": report.last_member,
-        "max_j": report.max_j,
-        "champions": [{"n": c.n, "a_n": c.a_n, "j": c.j} for c in report.champions],
-        "j_histogram": {str(j): n for j, n in report.j_histogram.items()},
-    }
-
-
 def _cmd_verify(args) -> int:
     st = store.SegmentStore.open(_data_dir(args.data))
     if not st.manifest.complete:
@@ -237,7 +225,8 @@ def _cmd_verify(args) -> int:
             print(f"counterexample member {e.n} value {e.a_n}")
         return EX_COUNTEREXAMPLE
     if args.json:
-        print(json.dumps(_report_json(report)))
+        champions = [c._asdict() for c in report.champions]
+        print(json.dumps({**dataclasses.asdict(report), "champions": champions}))
     else:
         print(report.summary())
         if report.champions:

@@ -8,7 +8,7 @@ several of them take prime values at the same argument? Tools:
 * ``residue_certificate`` -- exact root set of one polynomial mod p, which
   is how an obstruction is exhibited when one exists.
 * ``construct_shifts``   -- build shift lists whose square family has no
-  local obstruction, dodging a caller-supplied set.
+  local obstruction.
 * ``simultaneous_prime_scan`` -- enumerate arguments where every family
   member is prime, with running counts for density comparison.
 """
@@ -17,7 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .sieve import shifted_square_fits, shifted_square_mask, small_primes
 
 _SCAN_FILTER_LIMIT = 97  # pre-filter removes multiples of primes up to here
 _SCAN_FILTER_CHUNK = 1 << 15  # arguments y per pass of the pre-filter
-_SHIFT_BUDGET = 10**6  # candidates construct_shifts scans before giving up
 # Deterministic for every n < 3.18e23 (the least strong pseudoprime to
 # all twelve), which covers the full 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,10 +32,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class ValueOverflowError(OverflowError):
     """Polynomial values would leave the exact 64-bit range."""
-
-
-class SearchBudgetExceededError(RuntimeError):
-    """Candidate scan hit its cap before finding enough shifts."""
 
 
 @dataclass(frozen=True)
@@ -222,39 +217,18 @@ def residue_certificate(poly: IntPolynomial, p: int) -> set:
     return set(np.flatnonzero(acc == 0).tolist())
 
 
-def construct_shifts(
-    k: int,
-    avoid: Union[Callable[[int], bool], Iterable[int], None] = None,
-) -> list:
-    """k ascending multiples of P, the product of the primes p <= 2k.
+def construct_shifts(k: int) -> list:
+    """The k multiples 0, P, ..., (k-1)P of P, the product of the primes p <= 2k.
 
     Every b_i = 0 (mod p) for p <= 2k, so at x = 0 (mod p) each (x - b_i)^2
     + 1 is 1 mod p; the product of the family is monic of degree 2k, so no
     larger p divides it at every x, and the family has no local
-    obstruction. Values in ``avoid`` (a set or a predicate) are skipped;
-    scanning more than ``_SHIFT_BUDGET`` candidates raises
-    SearchBudgetExceededError.
+    obstruction.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if avoid is None:
-        in_avoid = lambda v: False
-    elif callable(avoid):
-        in_avoid = avoid
-    else:
-        members = set(avoid)
-        in_avoid = lambda v: v in members
-
     modulus = math.prod(small_primes(2 * k).tolist())
-    shifts = []
-    for candidate in range(0, (_SHIFT_BUDGET + 1) * modulus, modulus):
-        if not in_avoid(candidate):
-            shifts.append(candidate)
-            if len(shifts) == k:
-                return shifts
-    raise SearchBudgetExceededError(
-        f"scanned {_SHIFT_BUDGET + 1} candidates for {k} shifts, found {len(shifts)}"
-    )
+    return [i * modulus for i in range(k)]
 
 
 @dataclass(frozen=True)

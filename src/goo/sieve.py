@@ -111,15 +111,16 @@ def small_primes(limit: int) -> np.ndarray:
     if limit < 2:
         raise ValueError("limit must be at least 2")
     half = (limit + 1) // 2
-    odd = np.ones(half, dtype=bool)  # index i represents 2i + 1
-    odd[0] = False
+    odd = np.ones(half, dtype=bool)  # index i represents 2i + 1, index 0 stands in for 2
     for i in range(1, min((isqrt(limit) + 1) // 2 + 1, half)):
         if odd[i]:
             p = 2 * i + 1
             odd[(p * p) // 2 :: p] = False
-    return np.concatenate(
-        ([2], 2 * np.flatnonzero(odd).astype(np.int64) + 1)
-    )
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def sieve_segment_1mod4(

@@ -276,13 +276,13 @@ def decode_a_segment(data: bytes) -> ASegment:
 
 @dataclass(frozen=True)
 class AStream:
-    """The A values >= start of one store, as ``read_a_stream`` returns them."""
+    """The A values of one store, as ``read_a_stream`` returns them."""
 
     store: "SegmentStore"
-    start: int
 
     def arrays(self) -> Iterator[np.ndarray]:
-        return self.store.read_a_arrays(self.start)
+        for segment in self.store.read_a_segments():
+            yield segment.values
 
     def __iter__(self) -> Iterator[int]:
         for values in self.arrays():
@@ -556,35 +556,28 @@ class SegmentStore:
         """The committed prime-root segment [lo, hi), checked by ``_read``."""
         return decode_prime_segment(self._read(self._listed(KIND_PRIME), KIND_PRIME, lo, hi))
 
-    def read_a_segments(self, start: int = 1) -> Iterator[ASegment]:
-        """The A-value segments of the tiling ending beyond ``start``, ascending,
-        through ``_read``."""
+    def read_a_segments(self) -> Iterator[ASegment]:
+        """Every A-value segment of the tiling, ascending, through ``_read``."""
         entries = self._listed(KIND_A)
         for lo, hi in self.ranges[KIND_A]:
-            if hi > start:
-                yield decode_a_segment(self._read(entries, KIND_A, lo, hi))
+            yield decode_a_segment(self._read(entries, KIND_A, lo, hi))
 
-    def read_a_arrays(self, start: int = 1) -> Iterator[np.ndarray]:
-        """Yield the stored A values >= start as one int64 array per segment."""
-        for segment in self.read_a_segments(start):
-            values = segment.values
-            if len(values) and values[0] < start:
-                values = values[np.searchsorted(values, start) :]
-            yield values
-
-    def read_a_stream(self, start: int = 1) -> "AStream":
-        """Every stored A value >= start, ascending, read lazily.
+    def read_a_stream(self) -> "AStream":
+        """Every stored A value, ascending, read lazily.
 
         Iterating the result yields Python ints; ``int64_chunks`` and the
         consumers built on it (``verify_stream``, ``count_table``) take its
         decoded segment arrays whole instead.
         """
-        return AStream(self, start)
+        return AStream(self)
 
     def lookup_a(self, value: int) -> bool:
-        """Membership test against the stored set, one segment decode away."""
-        for values in self.read_a_arrays(value):
-            return len(values) > 0 and int(values[0]) == value
+        """Membership test against the stored set: the first segment ending
+        beyond ``value``, read through ``_read``."""
+        for lo, hi in self.ranges[KIND_A]:
+            if hi > value:
+                data = self._read(self._listed(KIND_A), KIND_A, lo, hi)
+                return value in decode_a_segment(data).values
         raise GapError(f"no a-value segment covers {value}")
 
     # -- accounting -------------------------------------------------------

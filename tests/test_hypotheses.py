@@ -16,7 +16,6 @@ from goo import hypotheses, oracle, sieve
 from goo.hypotheses import (
     IntPolynomial,
     ScanCheckpoint,
-    SearchBudgetExceededError,
     ValueOverflowError,
     _filter_hits,
     _prime_factors,
@@ -149,22 +148,14 @@ def test_construct_shifts_basic():
     assert construct_shifts(1) == [0]
     # primes up to 6 give modulus 2 * 3 * 5
     assert construct_shifts(3) == [0, 30, 60]
+    with pytest.raises(ValueError):
+        construct_shifts(0)
 
 
 def test_construct_shifts_family_has_no_obstruction():
     shifts = construct_shifts(4)
     family = [IntPolynomial.shifted_square(1, -b) for b in shifts]
     assert bunyakovsky_check(family) is None
-
-
-def test_construct_shifts_avoidance(monkeypatch):
-    assert construct_shifts(3, avoid={0, 30}) == [60, 90, 120]
-    assert construct_shifts(3, avoid=lambda v: v == 30) == [0, 60, 90]
-    monkeypatch.setattr(hypotheses, "_SHIFT_BUDGET", 100)
-    with pytest.raises(SearchBudgetExceededError):
-        construct_shifts(2, avoid=lambda v: True)
-    with pytest.raises(ValueError):
-        construct_shifts(0)
 
 
 # -- simultaneous prime scan ------------------------------------------------------

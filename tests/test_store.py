@@ -6,6 +6,7 @@ import stat
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,7 +417,6 @@ def test_store_write_read_cycle(tmp_path):
     assert list(reopened.read_a_stream()) == [1, 2, 4, 6, 10, 14, 16, 20, 24,
                                               26, 36, 40, 54, 56, 66, 74, 84,
                                               90, 94]
-    assert list(reopened.read_a_stream(70)) == [74, 84, 90, 94]
     assert reopened.lookup_a(74) is True
     assert reopened.lookup_a(76) is False
     assert reopened.resume_plan() == []
@@ -476,11 +476,7 @@ def clean_1e8(tmp_path_factory):
     return st, list(st.read_a_stream())
 
 
-def test_reads_walk_the_runs_tiling(clean_1e8, tmp_path):
-    st, _ = clean_1e8
-    # nothing is stored at or past x_limit, so the stream there is empty
-    assert list(st.read_a_stream(store.x_limit(10**8))) == []
-    assert list(st.read_a_stream(10**6)) == []
+def test_reads_walk_the_runs_tiling(tmp_path):
     # an unfinished store's prime blocks end in a GapError, not silently
     fresh = _make_store(tmp_path, bound=10**8, seg=1024)
     first, second = fresh.ranges[store.KIND_PRIME][:2]
@@ -489,6 +485,19 @@ def test_reads_walk_the_runs_tiling(clean_1e8, tmp_path):
     assert next(blocks).p.tolist() == [5]
     with pytest.raises(GapError, match=rf"\[{second[0]},{second[1]}\)"):
         next(blocks)
+
+
+def test_lookup_a_decodes_one_segment(clean_1e8):
+    st, values = clean_1e8
+    last_lo = st.ranges[store.KIND_A][-1][0]
+    member = next(a for a in values if a >= last_lo)
+    outsider = next(x for x in range(last_lo, store.x_limit(10**8)) if x not in values)
+    for value, expected in ((0, False), (member, True), (outsider, False)):
+        with mock.patch.object(store, "decode_a_segment", wraps=store.decode_a_segment) as decode:
+            assert st.lookup_a(value) is expected
+        assert decode.call_count == 1
+    with pytest.raises(GapError):
+        st.lookup_a(store.x_limit(10**8))
 
 
 _damage_ops = hst.lists(
