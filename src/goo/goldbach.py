@@ -23,10 +23,12 @@ slice subtraction, with no gather. A difference below ``TABLE`` is read
 from a bool table over d, built from the bitset's first bytes while the
 stream is still below TABLE; a larger one from the bitset. The rest, and
 any odd value, go on offset by offset: for k = SLICED + 1, ... (odd values
-from k = 1) every value still unresolved tests a_n - a_{n-k} at once. The
-last ``TAIL`` members carry over to the next chunk; a value whose j lies
-beyond them walks the bitset downward, which is the whole member set, so
-no store is read.
+from k = 1) every value still unresolved tests a_n - a_{n-k} at once, and
+is picked by an index array. Once at most ``BLOCK`` values are left, their
+next BLOCK offsets are tested as one 2-D block of differences, block after
+block. The last ``TAIL`` members carry over to the next chunk; a value
+whose j lies beyond them walks the bitset downward, which is the whole
+member set, so no store is read.
 
 ``VerifierState`` and ``j_of`` are the scalar form of the same rule, one
 member at a time, kept as the reference the batch path is tested against.
@@ -45,6 +47,7 @@ from .store import MAX_BOUND, MAX_X_LIMIT, SegmentStore, int64_chunks
 CHUNK = 1 << 15  # stream values resolved per numpy pass
 TAIL = 256  # members carried across chunks; larger j walks the bitset
 SLICED = 3  # offsets tested for every member of a chunk, as slices of it
+BLOCK = 64  # at most this many members left: their next BLOCK offsets at once
 TABLE = 1 << 16  # differences below this are read from a bool table
 PROGRESS_EVERY = 1_000_000  # members between two progress lines
 
@@ -234,9 +237,10 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
             j = np.zeros(vals.size, np.int64)
             j[is_mem] = jm
 
-            # the rest offset by offset; odd values, never tested above,
-            # from k = 1 (a member missed there misses again).
-            # p: how many known members lie below each value still to do
+            # the rest offset by offset, then, once at most BLOCK are left,
+            # BLOCK offsets at a time; odd values, never tested above, from
+            # k = 1 (a member missed there misses again). todo: the indices
+            # still to do; p: how many known members lie below each of them
             first = 0 if last else 1  # member #1 has no offset
             todo = first + np.flatnonzero(j[first:] == 0)
             p = t + todo - np.searchsorted(np.flatnonzero(~is_mem), todo)
@@ -249,10 +253,23 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
                     todo, p = todo[gone:], p[gone:]
                     if not todo.size:
                         break
-                hit = _hits(bits, table, vals[todo] - known[p - k])
-                j[todo[hit]] = k
-                todo, p = todo[~hit], p[~hit]
-                k += 1
+                if todo.size > BLOCK:
+                    hit = _hits(bits, table, vals[todo] - known[p - k])
+                    j[todo[np.flatnonzero(hit)]] = k
+                    left = np.flatnonzero(~hit)
+                    k += 1
+                else:
+                    # offsets k .. k + BLOCK - 1 at once. Every p >= k, so an
+                    # offset past p reads known[0] again, as offset p does
+                    at = np.maximum(p[:, None] - np.arange(k, k + BLOCK), 0)
+                    d = vals[todo, None] - known[at]
+                    hit = _hits(bits, table, d.ravel()).reshape(at.shape)
+                    row = hit.any(1)
+                    got = np.flatnonzero(row)
+                    j[todo[got]] = k + hit[got].argmax(1)
+                    left = np.flatnonzero(~row)
+                    k += BLOCK
+                todo, p = todo[left], p[left]
             oldest = int(known[0])
             for w, below in walk:
                 a = int(vals[w])

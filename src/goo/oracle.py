@@ -12,15 +12,16 @@ from bisect import bisect_left, bisect_right
 from .sieve import NoRootFoundError
 
 # Trial division by the primes below _TRIAL_LIMIT decides every n below its
-# square; at or above it a fixed-witness strong-pseudoprime test decides.
+# square; at or above it a fixed-base strong-pseudoprime test decides.
 _TRIAL_LIMIT = 200
 _TRIAL_PRIMES = tuple(
     n for n in range(2, _TRIAL_LIMIT) if all(n % d for d in range(2, n))
 )
 
-# Deterministic for every n < 3.18e23 (the least strong pseudoprime to
-# all twelve), which covers the full 64-bit range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# J. Sinclair's seven bases: taken mod n, with a base = 0 (mod n) skipped,
+# no composite below 2^64 is a strong probable prime to all of them
+# (https://miller-rabin.appspot.com/).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _BRUTE_A_CAP = 10**7
 
@@ -51,7 +52,8 @@ def is_prime_64(n: int) -> bool:
     ValueError.
 
     Trial division by the primes below 200, which decides every n below
-    200^2; for larger n, a deterministic Miller-Rabin witness set.
+    200^2; for larger n, Miller-Rabin with J. Sinclair's seven bases,
+    deterministic below 2^64 (https://miller-rabin.appspot.com/).
     """
     if n >= 1 << 64:
         raise ValueError(f"{n} is not below 2^64")
@@ -62,7 +64,7 @@ def is_prime_64(n: int) -> bool:
             return n == p
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return True
-    return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
+    return all(_strong_probable_prime(n, a % n) for a in _MR_BASES if a % n)
 
 
 class NotOneModFourError(ValueError):

@@ -202,43 +202,49 @@ def _encode_deltas(deltas: np.ndarray) -> bytes:
     return buf.tobytes()
 
 
-def _decode_deltas(payload: bytes, expect: int) -> np.ndarray:
-    """Inverse of ``_encode_deltas``; only the multi-byte varints are rebuilt.
+def _decode_deltas(payload: bytes, out: np.ndarray) -> None:
+    """Inverse of ``_encode_deltas``, written into ``out``, whose size is
+    the number of deltas the segment declares.
 
     A byte below 0x80 ends a varint, so those bytes in order are the
-    one-byte deltas and the top 7 bits of the longer ones. The continuation
-    bytes are folded into their varints.
+    one-byte deltas and the top 7 bits of the longer ones; with no
+    continuation byte they are the deltas as they stand. Otherwise the
+    continuation bytes are folded into their varints in ``out``. A zero
+    delta is refused: on the bytes in the first case, on the folded values
+    in the second.
     """
     buf = np.frombuffer(payload, dtype=np.uint8)
     if buf.size == 0:
-        if expect:
+        if out.size:
             raise CorruptSegmentError("varint payload missing")
-        return np.zeros(0, dtype=np.int64)
-    if buf[-1] & 0x80:
+        return
+    if buf[-1] >= 0x80:
         raise CorruptSegmentError("truncated varint at end of segment")
-    cont = np.flatnonzero(buf & 0x80)
-    if buf.size - cont.size != expect:
+    more = buf >= 0x80
+    cont = np.flatnonzero(more)
+    if buf.size - cont.size != out.size:
         raise CorruptSegmentError(
-            f"expected {expect} deltas, payload holds {buf.size - cont.size}"
+            f"expected {out.size} deltas, payload holds {buf.size - cont.size}"
         )
     if not cont.size:
-        out = buf.astype(np.int64)
-    else:
-        out = buf[buf < 0x80].astype(np.int64)
-        # a continuation byte belongs to the varint counted by the final
-        # bytes before it; runs of one owner are one multi-byte varint
-        owner = cont - np.arange(cont.size)
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        width = np.diff(first, append=cont.size)  # continuation bytes per varint
-        if width.max() > 8:
-            raise CorruptSegmentError("varint longer than 9 bytes")
-        shift = 7 * (cont - np.repeat(cont[first], width))
-        low = np.add.reduceat((buf[cont] & 0x7F).astype(np.int64) << shift, first)
-        multi = owner[first]
-        out[multi] = (out[multi] << 7 * width) | low
-    if np.any(out <= 0):
+        if not buf.all():
+            raise CorruptSegmentError("zero delta: values must strictly ascend")
+        out[:] = buf
+        return
+    out[:] = buf[~more]
+    # a continuation byte belongs to the varint counted by the final
+    # bytes before it; runs of one owner are one multi-byte varint
+    owner = cont - np.arange(cont.size)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    width = np.diff(first, append=cont.size)  # continuation bytes per varint
+    if width.max() > 8:
+        raise CorruptSegmentError("varint longer than 9 bytes")
+    shift = 7 * (cont - np.repeat(cont[first], width))
+    low = np.add.reduceat((buf[cont] & 0x7F).astype(np.int64) << shift, first)
+    multi = owner[first]
+    out[multi] = (out[multi] << 7 * width) | low
+    if not out.all():
         raise CorruptSegmentError("zero delta: values must strictly ascend")
-    return out
 
 
 def encode_a_segment(segment: ASegment) -> bytes:
@@ -261,14 +267,12 @@ def decode_a_segment(data: bytes) -> ASegment:
     (first,) = _U64.unpack_from(data, _HEADER.size)
     if first >= 1 << 63:
         raise CorruptSegmentError("first value overflows int64")
-    deltas = _decode_deltas(data[_HEADER.size + _U64.size :], count - 1)
     values = np.empty(count, dtype=np.int64)
     values[0] = first
-    if count > 1:
-        np.cumsum(deltas, out=values[1:])
-        values[1:] += first
-    # each delta is below 2^63, so a running sum that passes int64 wraps
-    # negative where it first does, and the least value shows it
+    _decode_deltas(data[_HEADER.size + _U64.size :], values[1:])
+    np.cumsum(values, out=values)
+    # first and each delta are below 2^63, so a running sum that passes
+    # int64 wraps negative where it first does, and the least value shows it
     if values.min() < lo or values[-1] >= hi:
         raise CorruptSegmentError("value outside declared range")
     return ASegment(lo=lo, hi=hi, values=values)

@@ -138,17 +138,24 @@ def _tiny(chunk, tail):
     return mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail, TABLE=16)
 
 
+# members left when the offsets go in one block: never; every few offsets,
+# past the known members and on to the bitset walk; as shipped
+BLOCKS = (0, 2, goldbach.BLOCK)
+
+
 @pytest.mark.parametrize("chunk, tail", [(7, 3), (1, 1), (64, 5)])
 def test_batch_offsets_across_chunks_and_tail(chunk, tail):
     members = oracle.brute_a(2000)  # j reaches 10, beyond every tail here
-    with _tiny(chunk, tail):
-        got = [j for _, js in goldbach._offset_chunks(members) for j in js.tolist()]
-        report = verify_stream(members)
-    assert got == [oracle.brute_j(members, n) for n in range(2, len(members) + 1)]
+    want = [oracle.brute_j(members, n) for n in range(2, len(members) + 1)]
     state, failure, _ = _scalar_run(members, len(members))
     assert failure is None
-    assert report.champions == state.champions
-    assert report.j_histogram == dict(sorted(state.j_histogram.items()))
+    for block in BLOCKS:
+        with _tiny(chunk, tail), mock.patch.object(goldbach, "BLOCK", block):
+            got = [j for _, js in goldbach._offset_chunks(members) for j in js.tolist()]
+            report = verify_stream(members)
+        assert got == want, block
+        assert report.champions == state.champions
+        assert report.j_histogram == dict(sorted(state.j_histogram.items()))
 
 
 @st.composite
@@ -165,19 +172,22 @@ def _streams(draw):
 @given(_streams(), st.integers(1, 64), st.integers(1, 6), st.integers(1, 5))
 def test_batch_matches_scalar_reference(values, chunk, tail, every):
     state, failure, want = _scalar_run(values, every)
-    seen = []
-    with _tiny(chunk, tail), mock.patch.object(goldbach, "PROGRESS_EVERY", every):
-        try:
-            report = verify_stream(values, progress=seen.append)
-        except CounterexampleFound as e:
-            assert (e.n, e.a_n) == failure
-        else:
-            assert failure is None
-            assert report.members == state.count
-            assert report.last_member == state.last
-            assert report.champions == state.champions
-            assert report.j_histogram == dict(sorted(state.j_histogram.items()))
-    assert seen == want
+    for block in BLOCKS:
+        seen = []
+        with _tiny(chunk, tail), mock.patch.multiple(
+            goldbach, PROGRESS_EVERY=every, BLOCK=block
+        ):
+            try:
+                report = verify_stream(values, progress=seen.append)
+            except CounterexampleFound as e:
+                assert (e.n, e.a_n) == failure
+            else:
+                assert failure is None
+                assert report.members == state.count
+                assert report.last_member == state.last
+                assert report.champions == state.champions
+                assert report.j_histogram == dict(sorted(state.j_histogram.items()))
+        assert seen == want
 
 
 def test_differences_across_the_table_bound_match_scalar_reference():

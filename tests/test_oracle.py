@@ -78,9 +78,27 @@ def test_is_prime_semiprimes_near_word_size():
 
 
 def test_strong_pseudoprimes_are_rejected():
-    # Carmichael and strong-pseudoprime classics
-    for n in (3215031751, 341550071728321, 3825123056546413051):
+    # strong pseudoprimes to the first prime bases: 2047 to 2, 1373653 to 2
+    # and 3, and so on up to 3825123056546413051, to every prime up to 31
+    for n in (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+    ):
         assert not oracle.is_prime_64(n), n
+
+
+def test_is_prime_skips_a_base_that_n_divides():
+    # 9780504 = 2^3 * 3 * 407521 and 1795265022 = 2 * 3 * 299210837: each
+    # prime reduces one base to 0, which proves nothing and is skipped
+    assert 9780504 % 407521 == 0 and 1795265022 % 299210837 == 0
+    assert oracle.is_prime_64(407521) and oracle.is_prime_64(299210837)
+    assert not oracle.is_prime_64(407521 * 299210837)
 
 
 def test_sqrt_minus_one_examples():

@@ -260,6 +260,23 @@ def test_a_codec_refuses_damage(first, gaps, pick):
         decode_a_segment(_with_count(zero, len(values) + 1))
 
 
+def test_a_codec_refuses_two_byte_zero_delta():
+    # 0x80 0x00 folds to 0: a varint of two bytes, refused like a one-byte 0
+    good = encode_a_segment(_a_seg(1, 2**20, [5, 5 + 300, 5 + 301]))
+    at = store._HEADER.size + 8 + 2  # after the two bytes of 300
+    zero = good[:at] + b"\x80\x00" + good[at:]
+    assert decode_a_segment(good).values.tolist() == [5, 305, 306]
+    with pytest.raises(CorruptSegmentError, match="zero delta"):
+        decode_a_segment(_with_count(zero, 4))
+
+
+def test_a_codec_decodes_one_value_segment():
+    # count 1: the first value and an empty payload
+    data = encode_a_segment(_a_seg(1, 100, [42]))
+    assert len(data) == store._HEADER.size + 8
+    assert decode_a_segment(data).values.tolist() == [42]
+
+
 def test_a_codec_refuses_overlong_varint():
     # nine bytes carry 63 bits, every positive int64; a tenth cannot be a delta
     good = encode_a_segment(_a_seg(1, 2**63 - 1, [1, 2**62]))
