@@ -138,8 +138,8 @@ def _tiny(chunk, tail):
     return mock.patch.multiple(goldbach, CHUNK=chunk, TAIL=tail, TABLE=16)
 
 
-# members left when the offsets go in one block: never; every few offsets,
-# past the known members and on to the bitset walk; as shipped
+# BLOCK for the batch tests: 0 never takes a block; 2 takes block after
+# block, past the known members and on to the bitset walk; then as shipped
 BLOCKS = (0, 2, goldbach.BLOCK)
 
 
