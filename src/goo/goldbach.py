@@ -8,27 +8,28 @@ and is reported loudly, never papered over.
 The stream is read in chunks of at most ``CHUNK`` values by
 ``store.int64_chunks``: a store's ``read_a_stream()`` is cut from its
 decoded segment arrays with no per-member Python step, and any other
-iterable of ints is read into int64 arrays. Membership lives in a packed
-bitset over even values (bit i stands for 2i, and bit 0 for the
-member 1; an odd x > 1 is never a member, since x^2 + 1 is even). It spans
-every value below ``MAX_X_LIMIT``, but only the pages holding set bits
-become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5 MB at
-10^18. A chunk's bits are set first, by OR-ing one packed copy of the
-bytes its members span. Every difference is below its own a_n, so the
-chunk's later members cannot answer for earlier ones.
+iterable of ints is read into int64 arrays. The stream must be A-shaped:
+an odd x > 1 is never a member, since x^2 + 1 is even, so it is refused
+and every value kept is a member. Membership lives in a packed bitset
+over even values (bit i stands for 2i, and bit 0 for the member 1). It
+spans every value below ``MAX_X_LIMIT``, but only the pages holding set
+bits become resident: last_member / 16 bytes, 6.25 MB at 10^16 and 62.5
+MB at 10^18. A chunk's bits are set first, by OR-ing one packed copy of
+the bytes its members span. Every difference is below its own a_n, so
+the chunk's later members cannot answer for earlier ones.
 
 The chunk's members sit contiguously after the carried tail, so for each
 of the first ``SLICED`` offsets k, a_n - a_{n-k} for all of them is one
 slice subtraction, with no gather. A difference below ``TABLE`` is read
 from a bool table over d, built from the bitset's first bytes while the
-stream is still below TABLE; a larger one from the bitset. The rest, and
-any odd value, go on offset by offset: for k = SLICED + 1, ... (odd values
-from k = 1) every value still unresolved tests a_n - a_{n-k} at once, and
-is picked by an index array. Once at most ``BLOCK`` values are left, their
-next BLOCK offsets are tested as one 2-D block of differences, block after
-block. The last ``TAIL`` members carry over to the next chunk; a value
-whose j lies beyond them walks the bitset downward, which is the whole
-member set, so no store is read.
+stream is still below TABLE; a larger one from the bitset. The rest go on
+offset by offset: for k = SLICED + 1, ... every member still unresolved
+tests a_n - a_{n-k} at once, and is picked by an index array. Once at
+most ``BLOCK`` members are left, their next BLOCK offsets are tested as
+one 2-D block of differences, block after block. The last ``TAIL``
+members carry over to the next chunk; a member whose j lies beyond them
+walks the bitset downward, which is the whole member set, so no store is
+read.
 
 ``VerifierState`` and ``j_of`` are the scalar form of the same rule, one
 member at a time, kept as the reference the batch path is tested against.
@@ -72,7 +73,8 @@ class ChampionRecord(NamedTuple):
 
 
 def _check_next(a: int, last: int) -> None:
-    """Refuse a value that does not ascend or that no supported run holds."""
+    """Refuse a value that does not ascend, that no supported run holds, or
+    that is odd and not 1, since x^2 + 1 is even for every odd x > 1."""
     if a <= last:
         raise ValueError(f"stream must strictly ascend, got {a} after {last}")
     if a >= MAX_X_LIMIT:
@@ -80,6 +82,8 @@ def _check_next(a: int, last: int) -> None:
             f"value {a} is not below {MAX_X_LIMIT}, the x limit of the "
             f"largest supported bound {MAX_BOUND:.0e}"
         )
+    if a & 1 and a != 1:
+        raise ValueError(f"odd value {a} is not in A: {a}^2 + 1 is even")
 
 
 def _is_member(bits, d: int) -> bool:
@@ -122,9 +126,8 @@ class VerifierState:
         need = (a >> 4) + 1
         if need > len(self.bits):
             self.bits.extend(bytes(need - len(self.bits)))
-        if a == 1 or not a & 1:
-            i = a >> 1
-            self.bits[i >> 3] |= 1 << (i & 7)
+        i = a >> 1
+        self.bits[i >> 3] |= 1 << (i & 7)
 
     def record(self, a: int, j: int) -> None:
         n = self.count + 1  # index this member will have once pushed
@@ -191,9 +194,10 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
     """(values, j) per chunk of the stream, from its second member on.
 
     j[i] is the least offset of values[i], or 0 where no earlier member
-    decomposes it. A value that does not ascend or is out of range raises
-    ValueError, after the chunk's values before it have been yielded, so
-    the consumer sees every error in stream order.
+    decomposes it. A value that does not ascend, is out of range, or is
+    odd and not 1 raises ValueError, after the chunk's values before it
+    have been yielded, so the consumer sees every error in stream order.
+    Every value kept is therefore a member.
     """
     # One zeroed allocation for every value below MAX_X_LIMIT: 62.5 MB of
     # address space, of which only the pages holding set bits, about
@@ -207,14 +211,12 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
         if not last and chunk[0] != 1:
             raise ValueError(f"stream must start at the first member 1, got {chunk[0]}")
         before = np.concatenate(([last], chunk[:-1]))
-        bad = np.flatnonzero((chunk <= before) | (chunk >= MAX_X_LIMIT))
+        odd = ((chunk & 1) == 1) & (chunk != 1)
+        bad = np.flatnonzero((chunk <= before) | (chunk >= MAX_X_LIMIT) | odd)
         stop = int(bad[0]) if bad.size else chunk.size
         vals = chunk[:stop]
         if vals.size:
-            is_mem = ((vals & 1) == 0) | (vals == 1)
-            mem = vals[is_mem]
-            if mem.size:
-                _mark(bits, mem >> 1)
+            _mark(bits, vals >> 1)
             if vals[0] < TABLE:  # this chunk may set bits the table reads
                 table = _small_members(bits)
 
@@ -224,58 +226,56 @@ def _offset_chunks(values: Iterable[int]) -> Iterator[tuple]:
             # decomposes the member; jm: 1 + the rounds it missed, which is
             # its least offset once it hits
             t = tail.size
-            known = np.concatenate((tail, mem))
-            miss = np.ones(mem.size, bool)
-            jm = np.ones(mem.size, np.uint8)
+            known = np.concatenate((tail, vals))
+            miss = np.ones(vals.size, bool)
+            jm = np.ones(vals.size, np.uint8)
             for k in range(1, SLICED + 1):
                 s = max(0, k - t)  # members with fewer than k below them
-                if s < mem.size:
-                    d = mem[s:] - known[t - k + s : t - k + mem.size]
+                if s < vals.size:
+                    d = vals[s:] - known[t - k + s : t - k + vals.size]
                     miss[s:] &= ~_hits(bits, table, d)
                 jm += miss
             jm *= ~miss
-            j = np.zeros(vals.size, np.int64)
-            j[is_mem] = jm
+            j = jm.astype(np.int64)
 
             # the rest offset by offset, then, once at most BLOCK are left,
-            # BLOCK offsets at a time; odd values, never tested above, from
-            # k = 1 (a member missed there misses again). todo: the indices
-            # still to do; p: how many known members lie below each of them
+            # BLOCK offsets at a time. p: the positions in known of the
+            # members still to do, which is how many known members lie
+            # below each of them
             first = 0 if last else 1  # member #1 has no offset
-            todo = first + np.flatnonzero(j[first:] == 0)
-            p = t + todo - np.searchsorted(np.flatnonzero(~is_mem), todo)
-            k = SLICED + 1 if is_mem.all() else 1
+            p = t + first + np.flatnonzero(j[first:] == 0)
+            k = SLICED + 1
             walk = []
-            while todo.size:
-                gone = int(np.searchsorted(p, k))  # p ascends with todo
+            while p.size:
+                gone = int(np.searchsorted(p, k))  # p ascends
                 if gone:
-                    walk.extend(zip(todo[:gone].tolist(), p[:gone].tolist()))
-                    todo, p = todo[gone:], p[gone:]
-                    if not todo.size:
+                    walk.extend(p[:gone].tolist())
+                    p = p[gone:]
+                    if not p.size:
                         break
-                if todo.size > BLOCK:
-                    hit = _hits(bits, table, vals[todo] - known[p - k])
-                    j[todo[np.flatnonzero(hit)]] = k
+                if p.size > BLOCK:
+                    hit = _hits(bits, table, known[p] - known[p - k])
+                    j[p[np.flatnonzero(hit)] - t] = k
                     left = np.flatnonzero(~hit)
                     k += 1
                 else:
                     # offsets k .. k + BLOCK - 1 at once. Every p >= k, so an
                     # offset past p reads known[0] again, as offset p does
                     at = np.maximum(p[:, None] - np.arange(k, k + BLOCK), 0)
-                    d = vals[todo, None] - known[at]
+                    d = known[p, None] - known[at]
                     hit = _hits(bits, table, d.ravel()).reshape(at.shape)
                     row = hit.any(1)
                     got = np.flatnonzero(row)
-                    j[todo[got]] = k + hit[got].argmax(1)
+                    j[p[got] - t] = k + hit[got].argmax(1)
                     left = np.flatnonzero(~row)
                     k += BLOCK
-                todo, p = todo[left], p[left]
+                p = p[left]
             oldest = int(known[0])
-            for w, below in walk:
-                a = int(vals[w])
-                for off, m in enumerate(_members_below(bits, oldest), start=below + 1):
+            for q in walk:
+                a = int(known[q])
+                for off, m in enumerate(_members_below(bits, oldest), start=q + 1):
                     if _is_member(bits, a - m):
-                        j[w] = off
+                        j[q - t] = off
                         break
             tail = known[-TAIL:].copy()
             last = int(vals[-1])
@@ -321,11 +321,12 @@ def verify_stream(
     meaningful against the full prefix.
     Raises CounterexampleFound if some member has no decomposition, and
     ValueError for an empty stream, a first value other than 1, or a value
-    that does not ascend or reaches ``MAX_X_LIMIT``; whichever comes first
-    in the stream wins, except that a value beyond int64 fails the whole
-    chunk that holds it. ``store`` is accepted and not read: the bitset
-    holds every member the search can need. ``progress``, when given, is
-    called with a line every ``PROGRESS_EVERY`` members.
+    that does not ascend, reaches ``MAX_X_LIMIT`` or is odd and not 1 (so
+    not in A); whichever comes first in the stream wins, except that a
+    value beyond int64 fails the whole chunk that holds it. ``store`` is
+    accepted and not read: the bitset holds every member the search can
+    need. ``progress``, when given, is called with a line every
+    ``PROGRESS_EVERY`` members.
     """
     count = last = max_j = 1
     champions: list = []

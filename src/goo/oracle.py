@@ -11,12 +11,17 @@ from bisect import bisect_left, bisect_right
 
 from .sieve import NoRootFoundError
 
+_BASE_CAP = 1000  # sqrt_minus_one tries the prime bases up to this
+
+# the primes up to _BASE_CAP, by trial division; the cap is tiny
+_PRIMES = tuple(
+    n for n in range(2, _BASE_CAP + 1) if all(n % d for d in range(2, int(n**0.5) + 1))
+)
+
 # Trial division by the primes below _TRIAL_LIMIT decides every n below its
 # square; at or above it a fixed-base strong-pseudoprime test decides.
 _TRIAL_LIMIT = 200
-_TRIAL_PRIMES = tuple(
-    n for n in range(2, _TRIAL_LIMIT) if all(n % d for d in range(2, n))
-)
+_TRIAL_PRIMES = _PRIMES[: bisect_left(_PRIMES, _TRIAL_LIMIT)]
 
 # J. Sinclair's seven bases: taken mod n, with a base = 0 (mod n) skipped,
 # no composite below 2^64 is a strong probable prime to all of them
@@ -24,8 +29,6 @@ _TRIAL_PRIMES = tuple(
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _BRUTE_A_CAP = 10**7
-
-_BASE_CAP = 1000  # sqrt_minus_one tries the prime bases up to this
 
 # the largest list brute_a has built: every a <= _built_limit in A
 _built_limit, _built = 0, []
@@ -71,13 +74,6 @@ class NotOneModFourError(ValueError):
     """p is not congruent to 1 mod 4, so -1 has no square root mod p."""
 
 
-def _candidate_bases(cap: int):
-    # primes 2, 3, 5, 7, ... up to cap, by trial division; cap is tiny
-    for n in range(2, cap + 1):
-        if all(n % d for d in range(2, int(n**0.5) + 1)):
-            yield n
-
-
 def sqrt_minus_one(p: int) -> int:
     """Canonical square root of -1 mod p for a prime p = 1 (mod 4).
 
@@ -90,7 +86,7 @@ def sqrt_minus_one(p: int) -> int:
     if p % 4 != 1:
         raise NotOneModFourError(f"p={p} is not 1 mod 4")
     exp = (p - 1) // 4
-    for base in _candidate_bases(_BASE_CAP):
+    for base in _PRIMES:
         t = pow(base % p, exp, p)
         if t * t % p == p - 1:
             return min(t, p - t)

@@ -316,10 +316,10 @@ def _store_of(root: Path, values: list) -> str:
 
 
 def test_verify_json_counterexample(tmp_path, capsys):
-    data = _store_of(tmp_path / "d", [1, 2, 4, 9])
+    data = _store_of(tmp_path / "d", [1, 2, 4, 12])
     for flags, want in (
-        (["--json"], '{"counterexample": {"n": 4, "a_n": 9}}\n'),
-        ([], "counterexample member 4 value 9\n"),
+        (["--json"], '{"counterexample": {"n": 4, "a_n": 12}}\n'),
+        ([], "counterexample member 4 value 12\n"),
     ):
         assert cli.main(["verify", "--data", data, "--quiet", *flags]) == 2
         assert capsys.readouterr().out == want
@@ -331,6 +331,17 @@ def test_verify_of_values_that_are_not_a_prefix_of_a_is_data_error(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "data error: stream must start at the first member 1, got 2" in captured.err
+
+
+def test_verify_of_odd_values_is_data_error(tmp_path, capsys):
+    # 3 and 9 are odd, so 3^2 + 1 and 9^2 + 1 are even: neither is in A
+    for values in ([1, 2, 3], [1, 2, 4, 9]):
+        data = _store_of(tmp_path / str(values[-1]), values)
+        for flags in ([], ["--json"]):
+            assert cli.main(["verify", "--data", data, "--quiet", *flags]) == 65
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"data error: odd value {values[-1]} is not in A" in captured.err
 
 
 def test_verify_missing_data_dir(tmp_path):

@@ -160,12 +160,10 @@ def test_batch_offsets_across_chunks_and_tail(chunk, tail):
 
 @st.composite
 def _streams(draw):
-    """1, then ascending values: about half of the even numbers, which
-    mostly decompose, and a few odd ones, which are never members."""
+    """1, then about half of the even numbers, ascending: most decompose,
+    some do not. Odd values are refused, which the tests below cover."""
     picks = draw(st.lists(st.booleans(), max_size=300))
-    odd = draw(st.sets(st.integers(1, 300), max_size=3))
-    evens = {2 * (i + 1) for i, pick in enumerate(picks) if pick}
-    return [1] + sorted(evens | {2 * i + 1 for i in odd})
+    return [1] + [2 * (i + 1) for i, pick in enumerate(picks) if pick]
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,9 +236,9 @@ def test_values_beyond_supported_runs_are_refused():
 
 def test_counterexample_is_reported():
     with pytest.raises(CounterexampleFound) as exc:
-        verify_stream([1, 2, 4, 9])
+        verify_stream([1, 2, 4, 12])
     assert exc.value.n == 4
-    assert exc.value.a_n == 9
+    assert exc.value.a_n == 12
 
 
 def test_stream_validation():
@@ -254,11 +252,47 @@ def test_stream_validation():
     with pytest.raises(ValueError, match="ascend"):
         verify_stream([1, 2, 4, 4, 9])
     with pytest.raises(CounterexampleFound):
-        verify_stream([1, 2, 4, 9, 8])
+        verify_stream([1, 2, 4, 12, 10])
     with pytest.raises(CounterexampleFound):
-        verify_stream([1, 2, 4, 9, 10**12])
+        verify_stream([1, 2, 4, 12, 10**12])
     with pytest.raises(ValueError, match="below"):
         verify_stream([1, 2, 10**12, 9])
+
+
+def _refusal(values):
+    """(members accepted, message) where the batch path and the scalar
+    reference each stop with a ValueError."""
+    accepted = 1
+    with pytest.raises(ValueError) as batch:
+        for vals, _ in goldbach._offset_chunks(values):
+            accepted += vals.size
+    state = VerifierState()
+    state.push(values[0])
+    with pytest.raises(ValueError) as scalar:
+        for a in values[1:]:
+            j_of(state, a)
+            state.push(a)
+    assert (state.count, str(scalar.value)) == (accepted, str(batch.value))
+    return accepted, str(batch.value)
+
+
+@pytest.mark.parametrize("chunk, tail", [(goldbach.CHUNK, goldbach.TAIL), (7, 3), (1, 1)])
+def test_odd_values_are_refused_where_the_scalar_reference_refuses_them(chunk, tail):
+    members = oracle.brute_a(2000)
+    for block in BLOCKS:
+        with _tiny(chunk, tail), mock.patch.object(goldbach, "BLOCK", block):
+            # members[n - 1] + 1 is odd, and lies below members[n]
+            for n in (2, 3, 8, 17, 100, len(members)):
+                odd = members[n - 1] + 1
+                values = [*members[:n], odd, *members[n:]]
+                assert _refusal(values) == (n, f"odd value {odd} is not in A: "
+                                               f"{odd}^2 + 1 is even")
+            # a counterexample before the odd value is reported first
+            with pytest.raises(CounterexampleFound) as exc:
+                verify_stream([1, 2, 4, 12, 13])
+            assert (exc.value.n, exc.value.a_n) == (4, 12)
+            with pytest.raises(ValueError, match="odd"):
+                verify_stream([1, 2, 3, 12])
 
 
 def test_vacuous_offset_never_champions():
