@@ -9,8 +9,10 @@ where c is the Hardy-Littlewood constant for this quadratic family,
 an Euler product over odd primes, and li is integrated from 0 as a
 principal value. The form integrated from x = 2 instead,
 (c / 2) * (li(sqrt(x)) - li(sqrt(2))), differs from it by
-li(sqrt(2)) ~ -0.10337 inside the parentheses. ``count_table`` streams
-the member set once and reports the observed count against both models.
+li(sqrt(2)) ~ -0.10337 inside the parentheses. ``count_table`` reports
+the observed count against both models: over a store, from its
+digest-checked segment counts, decoding only the segments where a
+threshold falls; over any other iterable of members, in one pass.
 """
 
 import math
@@ -20,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .store import MAX_X_LIMIT, int64_chunks
+from .store import MAX_X_LIMIT, AStream, int64_chunks
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -127,10 +129,13 @@ def count_table(
     covered_to: Optional[int] = None,
     c_q: float = DEFAULT_HL_CONSTANT,
 ) -> list:
-    """Observed member counts against both density models, one pass.
+    """Observed member counts against both density models.
 
-    ``a_stream`` holds the members ascending: a store's ``read_a_stream()``,
-    whose segment arrays are taken whole, or any iterable of ints.
+    ``a_stream`` holds the members ascending. A store's ``read_a_stream()``
+    is counted by ``SegmentStore.count_a``: the listed counts of the
+    digest-checked segments, with only the segments where a threshold falls
+    decoded. Any other iterable of ints is read once, in chunks, up to the
+    first value past the last threshold, and must strictly ascend that far.
     ``points`` are thresholds on x = a^2 + 1, ascending, each >= 10.
     ``covered_to`` (exclusive) declares how far the stream is complete;
     pass it whenever known so truncated data fails loudly instead of
@@ -149,7 +154,23 @@ def count_table(
             f"stream covers members below {covered_to}, "
             f"largest point needs them through {thresholds[-1]}"
         )
+    if isinstance(a_stream, AStream):
+        counts = a_stream.store.count_a(thresholds)
+    else:
+        counts = _count_chunks(a_stream, thresholds)
+    return [
+        CountTableRow(
+            x=x,
+            pi_q=c,
+            ratio_f=c / count_model_sqrt(x, c_q),
+            ratio_g=c / count_model_li(x, c_q),
+        )
+        for x, c in zip(pts, counts)
+    ]
 
+
+def _count_chunks(a_stream: Iterable[int], thresholds: list) -> list:
+    """Members at or below each threshold, read ``CHUNK`` values at a time."""
     # thresholds past int64 are past every stream value, so clip them
     cuts = np.array([min(t, INT64_MAX) for t in thresholds], np.int64)
     counts = np.zeros(cuts.size, np.int64)
@@ -170,17 +191,7 @@ def count_table(
         if past.size:
             break
         prev = seen[-1]
-    counts = counts.tolist()
-
-    return [
-        CountTableRow(
-            x=x,
-            pi_q=c,
-            ratio_f=c / count_model_sqrt(x, c_q),
-            ratio_g=c / count_model_li(x, c_q),
-        )
-        for x, c in zip(pts, counts)
-    ]
+    return counts.tolist()
 
 
 def format_columns(head: tuple, cells: list) -> str:

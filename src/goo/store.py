@@ -11,7 +11,8 @@ Both segment kinds tile [1, R) where R is derived from the run's bound via
 passes ``SegmentStore._read``: a range listed never or more than once raises
 ``GapError``, and a missing file, a SHA-256 mismatch or a header naming
 another range or count (a line pointing at another range's file) raises
-``CorruptSegmentError``. ``SegmentStore.account`` is that check's one walk.
+``CorruptSegmentError``. ``SegmentStore.account`` walks the whole tiling
+through that check, and ``SegmentStore.count_a`` up to a count's last threshold.
 """
 
 import hashlib
@@ -569,9 +570,9 @@ class SegmentStore:
     def read_a_stream(self) -> "AStream":
         """Every stored A value, ascending, read lazily.
 
-        Iterating the result yields Python ints; ``int64_chunks`` and the
-        consumers built on it (``verify_stream``, ``count_table``) take its
-        decoded segment arrays whole instead.
+        Iterating the result yields Python ints; ``int64_chunks`` and
+        ``verify_stream`` on it take its decoded segment arrays whole
+        instead, and ``count_table`` takes its counts from ``count_a``.
         """
         return AStream(self)
 
@@ -600,6 +601,30 @@ class SegmentStore:
                     count = None
                 rows.append((kind, lo, hi, count))
         return rows
+
+    def count_a(self, thresholds: list) -> list:
+        """How many stored A values are at or below each of ``thresholds``
+        (ascending), from the listed counts of the segments ``_read`` checks.
+
+        A segment ending at or below a threshold (hi - 1 <= t) adds its
+        count; only one holding a threshold inside (lo <= t < hi - 1) is
+        decoded and searched, and no segment past the last threshold is read.
+        """
+        entries = self._listed(KIND_A)
+        counts, total = [], 0
+        for lo, hi in self.ranges[KIND_A]:
+            pending = thresholds[len(counts) :]
+            if not pending:
+                break
+            data = self._read(entries, KIND_A, lo, hi)
+            inside = [t for t in pending if t < hi - 1]
+            if inside:
+                values = decode_a_segment(data).values
+                counts += (total + np.searchsorted(values, inside, side="right")).tolist()
+            total += entries[lo, hi].count
+            if hi - 1 in pending:
+                counts.append(total)
+        return counts + [total] * (len(thresholds) - len(counts))
 
     def resume_plan(self) -> list:
         """(kind, lo, hi) of every range whose ``_read`` fails, prime kind first."""

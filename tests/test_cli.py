@@ -397,6 +397,69 @@ def test_count_needs_a_point(run_1e6, capsys):
     assert "--at needs at least one point" in capsys.readouterr().err
 
 
+def _sieve_1e8(out: Path) -> store.SegmentStore:
+    """A finished 10^8 run at segment 1024: A segments [1,2048), [2048,4096),
+    [4096,6144), [6144,8192) and [8192,10000)."""
+    return sieve.run_pipeline(sieve.SieveConfig(10**8, 1024), out)
+
+
+def test_count_takes_the_listed_counts_of_digest_checked_segments(tmp_path, capsys):
+    # isqrt(2e7 - 1) = 4472 falls in [4096,6144), isqrt(1e7 - 1) = 3162 in [2048,4096)
+    st = _sieve_1e8(tmp_path / "d")
+    data = ["--data", str(st.root)]
+    assert cli.main(["count", *data, "--at", "2e7", "--json"]) == 0
+    clean = capsys.readouterr().out
+    # damage the payload of [2048,4096), then list the damaged file's digest
+    entry = st.manifest.entries_of(store.KIND_A)[1]
+    path = st.root / entry.filename
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= 0x80
+    path.write_bytes(bytes(raw))
+    rehashed = dataclasses.replace(entry, digest=hashlib.sha256(raw).hexdigest())
+    st.manifest.entries = [rehashed if e == entry else e for e in st.manifest.entries]
+    st._write_manifest()
+    # past the segment, its listed count stands; a threshold inside it decodes it
+    assert cli.main(["count", *data, "--at", "2e7", "--json"]) == 0
+    assert capsys.readouterr().out == clean
+    for command in (["count", "--at", "1e7"], ["verify", "--quiet"]):
+        assert cli.main([*command, *data]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: truncated varint at end of segment" in captured.err
+
+
+def test_count_reads_no_segment_past_the_last_threshold(tmp_path, capsys):
+    # isqrt(4095^2) = 4095 is the last value [2048,4096) can hold
+    st = _sieve_1e8(tmp_path / "d")
+    data = ["--data", str(st.root)]
+    at = ["--at", f"1e6,{4095**2 + 1}"]
+    assert cli.main(["count", *data, *at]) == 0
+    clean = capsys.readouterr().out
+    # [4096,6144) loses its manifest line and [8192,10000) its file
+    a = st.manifest.entries_of(store.KIND_A)
+    st.manifest.entries.remove(a[2])
+    st._write_manifest()
+    (st.root / a[4].filename).unlink()
+    assert cli.main(["count", *data, *at]) == 0
+    assert capsys.readouterr().out == clean
+    assert cli.main(["count", *data, "--at", "1e8"]) == 65
+    assert "[4096,6144) is listed nowhere" in capsys.readouterr().err
+    assert cli.main(["status", *data]) == 65
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "pending 2", "pending a_values [4096,6144)", "pending a_values [8192,10000)",
+    ]
+
+
+def test_count_does_not_apply_the_a_shape_rule(tmp_path, capsys):
+    # 3 and 9 are odd, so not in A, yet the digest-valid segment counts
+    # 5 members through x = 100; only goo verify refuses the store
+    data = _store_of(tmp_path / "d", [1, 2, 3, 4, 9])
+    assert cli.main(["count", "--data", data, "--at", "100", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["pi_q"] == 5
+    assert cli.main(["verify", "--data", data, "--quiet"]) == 65
+    assert "odd value 3 is not in A" in capsys.readouterr().err
+
+
 # -- cq -----------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from goo import sieve, store
+from goo import analytics, sieve, store
 from goo.records import ASegment, PrimeRootBlock
 from goo.store import (
     CorruptSegmentError,
@@ -515,6 +515,103 @@ def test_lookup_a_decodes_one_segment(clean_1e8):
         assert decode.call_count == 1
     with pytest.raises(GapError):
         st.lookup_a(store.x_limit(10**8))
+
+
+def _points(thresholds):
+    """Points x = t^2 + 1, whose thresholds isqrt(x - 1) are exactly ``thresholds``."""
+    return [t * t + 1 for t in thresholds]
+
+
+def test_count_a_decodes_only_where_a_threshold_falls(clean_1e8):
+    st, values = clean_1e8
+    (_, h0), (lo1, h1), (lo2, h2), _, _ = st.ranges[store.KIND_A]
+    # inside [lo1, h1), at h1 - 1, inside [lo2, h2), then at h2 - 1: the
+    # last threshold ends [lo2, h2), so the segment after it is never read
+    thresholds = [h0 + 500, h1 - 1, lo2 + 500, h2 - 1]
+    read = []
+    real_read = SegmentStore._read
+
+    def spy(self, entries, kind, lo, hi):
+        read.append((lo, hi))
+        return real_read(self, entries, kind, lo, hi)
+
+    with mock.patch.object(SegmentStore, "_read", spy), \
+            mock.patch.object(store, "decode_a_segment", wraps=store.decode_a_segment) as decode:
+        rows = analytics.count_table(st.read_a_stream(), _points(thresholds))
+    assert [r.pi_q for r in rows] == np.searchsorted(values, thresholds, side="right").tolist()
+    assert read == st.ranges[store.KIND_A][:3]
+    decoded = [decode_a_segment(c.args[0]) for c in decode.call_args_list]
+    assert [(s.lo, s.hi) for s in decoded] == [(lo1, h1), (lo2, h2)]
+
+
+@pytest.fixture(scope="module")
+def count_stores(clean_1e8, tmp_path_factory):
+    """Stores of several geometries with their values: three sieved runs,
+    and one whose segments alternate between holding lo and hi - 1, being
+    empty, and holding lo + 1 and hi - 2."""
+    stores = [clean_1e8]
+    for bound, seg in ((10**9, 1024), (10**10, 2048)):
+        cfg = sieve.SieveConfig(bound_b=bound, segment_len=seg)
+        st = sieve.run_pipeline(cfg, tmp_path_factory.mktemp("count") / "d")
+        stores.append((st, list(st.read_a_stream())))
+    st = SegmentStore.create(tmp_path_factory.mktemp("sparse") / "d", 10**8, 1024)
+    for i, (lo, hi) in enumerate(st.ranges[store.KIND_A]):
+        st.write_a_segment(_a_seg(lo, hi, [[lo, hi - 1], [], [lo + 1, hi - 2]][i % 3]))
+    st.finalize()
+    stores.append((st, list(st.read_a_stream())))
+    return stores
+
+
+_edges = hst.lists(hst.tuples(hst.integers(0, 2**16), hst.sampled_from(range(4))),
+                   min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=hst.integers(0, 3), edges=_edges, past=hst.integers(0, 2),
+       covered=hst.booleans(), drop=hst.none() | hst.integers(0, 2**16))
+def test_store_counts_match_the_streamed_counts(count_stores, which, edges, past, covered, drop):
+    """Thresholds at lo - 1, lo, hi - 2 and hi - 1 of segments, and at or past
+    the end of the tiling: the store path counts what the values give, and
+    raises StreamTooShortError and GapError where the chunk loop over the
+    same stream, read lazily, does. The one difference is the segment after
+    the last threshold: the chunk loop reads it when t = hi - 1 (or when
+    the segments before it hold no value past t), the store path never."""
+    st, values = count_stores[which]
+    ranges = st.ranges[store.KIND_A]
+    limit = store.x_limit(st.manifest.bound_b)
+    picked = set()
+    for i, k in edges:
+        lo, hi = ranges[i % len(ranges)]
+        picked.add((lo - 1, lo, hi - 2, hi - 1)[k])
+    thresholds = sorted(t for t in picked | set(range(limit - 1, limit - 1 + past)) if t >= 3)
+    if not thresholds:
+        return
+    points = _points(thresholds)
+    covered_to = limit if covered else None
+    if drop is not None:
+        lo, hi = ranges[drop % len(ranges)]
+        kept = [e for e in st.manifest.entries if (e.kind, e.lo) != (store.KIND_A, lo)]
+        st = SegmentStore(st.root, dataclasses.replace(st.manifest, entries=kept))
+
+    def counts(stream):
+        try:
+            return [r.pi_q for r in analytics.count_table(stream, points, covered_to=covered_to)]
+        except (analytics.StreamTooShortError, GapError) as e:
+            return type(e)
+
+    got = counts(st.read_a_stream())
+    if covered and thresholds[-1] >= limit:
+        assert got is analytics.StreamTooShortError
+    elif drop is not None and lo <= thresholds[-1]:
+        assert got is GapError
+    else:
+        assert got == counts(values)
+    with mock.patch.object(analytics, "CHUNK", 1):
+        streamed = counts(iter(st.read_a_stream()))
+    if got is GapError or streamed is not GapError:
+        assert streamed == got
+    else:  # the chunk loop read on into the missing segment
+        assert lo > thresholds[-1]
 
 
 _damage_ops = hst.lists(
