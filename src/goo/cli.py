@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cq", help="recompute the density constant")
     p.add_argument(
-        "--prime-limit", type=_parse_number, default=10**6, help="at most 1e9 (peak RSS 900 MB)"
+        "--prime-limit", type=_parse_number, default=10**6, help="at most 1e9 (peak RSS 48 MB)"
     )
 
     p = sub.add_parser("hyp", help="polynomial family tools")
@@ -294,9 +294,11 @@ def _cmd_oracle(args) -> int:
                 print(a)
         return EX_OK
     if args.oracle_command == "prime":
+        if args.n < 0:
+            raise UsageError(f"{args.n} is negative")
         with _usage_errors(ValueError):
             prime = oracle.is_prime_64(args.n)
-        print("prime" if prime else "composite")
+        print("neither" if args.n < 2 else "prime" if prime else "composite")
         return EX_OK
     with _usage_errors(ValueError):
         members = oracle.brute_a(args.limit)

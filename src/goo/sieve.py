@@ -5,7 +5,8 @@ Three stages, each feeding the next:
 1. ``small_primes``  -- classic sieve up to the fourth root of the bound.
 2. ``sieve_segment_1mod4`` + ``annotate_roots`` -- the class 1 mod 4 up to
    the square root of the bound, sieved in segments by ``_strike`` from
-   every base prime's first index at once; each survivor p gets its
+   every base prime's first index at once (the same sieve runs the class
+   3 mod 4 too, for ``analytics.compute_cq``); each survivor p gets its
    canonical root of -1, the least prime non-residue (3 to 13 from one
    table over p mod 15015) to the (p-1)/4 power, in float64 for p up to
    2^27 and in int64 above. ``sieve_prime_roots`` runs the two over ranges,
@@ -126,19 +127,21 @@ def small_primes(limit: int) -> np.ndarray:
 def sieve_segment_1mod4(
     seg_lo: int, seg_hi: int, base_primes: np.ndarray
 ) -> np.ndarray:
-    """Primes p = 1 (mod 4) in [seg_lo, seg_hi), ascending.
+    """Primes p = seg_lo (mod 4) in [seg_lo, seg_hi), ascending.
 
-    seg_lo must itself be 1 mod 4. The base primes must cover every prime
-    up to the square root of seg_hi - 1; if they fall short *and* a prime
-    actually hides in the uncovered stretch, the segment would silently
-    keep composites, so that case raises instead. Each odd base prime p
-    with p^2 < seg_hi strikes z = m*p from the least m >= max(p, seg_lo/p)
-    with m = p (mod 4): all first indices at once, in one ``_strike``.
+    seg_lo must be odd, so the class of seg_lo mod 4 is 1 or 3; the
+    pipeline sieves class 1, ``analytics.compute_cq`` both. The base
+    primes must cover every prime up to the square root of seg_hi - 1; if
+    they fall short *and* a prime actually hides in the uncovered stretch,
+    the segment would silently keep composites, so that case raises
+    instead. Each odd base prime p with p^2 < seg_hi strikes z = m*p from
+    the least m >= max(p, seg_lo/p) with m*p = seg_lo (mod 4): all first
+    indices at once, in one ``_strike``.
     """
     if seg_lo < 1 or seg_lo >= seg_hi:
         raise ValueError("need 1 <= seg_lo < seg_hi")
-    if seg_lo % 4 != 1:
-        raise ValueError("seg_lo must be congruent to 1 mod 4")
+    if seg_lo % 2 != 1:
+        raise ValueError("seg_lo must be odd")
     if len(base_primes) == 0:
         raise InsufficientBasePrimesError("no base primes supplied")
     top = int(base_primes[-1])
@@ -148,19 +151,16 @@ def sieve_segment_1mod4(
             f"base primes reach {top}, segment end needs {need}"
         )
 
-    t_lo = (seg_lo - 1) // 4
-    t_hi = (seg_hi + 2) // 4  # first t with 4t + 1 >= seg_hi
-    mask = np.ones(t_hi - t_lo, dtype=bool)
-    if t_lo == 0:
+    mask = np.ones((seg_hi - seg_lo + 3) // 4, dtype=bool)  # index k is seg_lo + 4k
+    if seg_lo == 1:
         mask[0] = False  # z = 1 is not prime
-    p = base_primes[1 : np.searchsorted(base_primes, need, "right")]  # 2 divides no 4t + 1
+    p = base_primes[1 : np.searchsorted(base_primes, need, "right")]  # 2 divides no odd z
     m = np.maximum(p, -(-seg_lo // p))
-    m += (p - m) % 4  # multiplier must be p mod 4 for z = 1 mod 4
-    _strike(mask, (m * p - 1) // 4 - t_lo, p)
+    m += (seg_lo % 4 * p - m) % 4  # m = seg_lo * p (mod 4), so m*p = seg_lo
+    _strike(mask, (m * p - seg_lo) // 4, p)
     z = np.flatnonzero(mask).astype(np.int64, copy=False)  # in place: one array
-    z += t_lo
     z *= 4
-    z += 1
+    z += seg_lo
     return z
 
 

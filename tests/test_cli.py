@@ -474,10 +474,11 @@ def test_cq_output(capsys):
 
 def test_cq_bad_prime_limit(monkeypatch, capsys):
     # a sieve to 10^13 would ask for terabytes; it is refused before it starts
-    def refuse(limit):
-        raise AssertionError(f"small_primes({limit}) was called")
+    def refuse(*args):
+        raise AssertionError(f"a sieve was called with {args}")
 
     monkeypatch.setattr(sieve, "small_primes", refuse)
+    monkeypatch.setattr(sieve, "sieve_segment_1mod4", refuse)
     for limit, message in (
         ("2", "prime_limit must be at least 3"),
         ("1e13", "prime_limit above 1e+09 is not supported"),
@@ -534,6 +535,14 @@ def test_oracle_prime(capsys):
     assert capsys.readouterr().out.strip() == "prime"
     assert cli.main(["oracle", "prime", "5777"]) == 0
     assert capsys.readouterr().out.strip() == "composite"
+    assert cli.main(["oracle", "prime", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "prime"
+    for n in ("0", "1"):
+        assert cli.main(["oracle", "prime", n]) == 0
+        assert capsys.readouterr().out.strip() == "neither"
+    assert cli.main(["oracle", "prime", "--", "-7"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err
 
 
 def test_oracle_prime_refuses_numbers_past_64_bits(capsys):

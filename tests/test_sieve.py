@@ -76,12 +76,13 @@ def test_segment_1mod4_small_range():
 
 def test_segment_1mod4_matches_filtered_primes_across_boundaries():
     base = small_primes(isqrt(10**5) + 1)
-    want = [int(p) for p in small_primes(10**5) if p % 4 == 1]
-    got = []
-    for lo in range(1, 10**5, 4096):
-        hi = min(lo + 4096, 10**5 + 1)
-        got.extend(sieve_segment_1mod4(lo, hi, base).tolist())
-    assert got == want
+    for c in (1, 3):  # the class of seg_lo mod 4
+        want = [int(p) for p in small_primes(10**5) if p % 4 == c]
+        got = []
+        for lo in range(c, 10**5, 4096):
+            hi = min(lo + 4096, 10**5 + 1)
+            got.extend(sieve_segment_1mod4(lo, hi, base).tolist())
+        assert got == want, c
 
 
 def test_segment_1mod4_validates_alignment():
@@ -107,7 +108,7 @@ _Q = 1019  # a base prime; its square is 1 mod 4 like every odd square
 
 
 @settings(max_examples=60, deadline=None)
-@given(lo=st.integers(0, 5 * 10**5).map(lambda k: 4 * k + 1), width=st.integers(1, 2**16))
+@given(lo=st.integers(0, 10**6).map(lambda k: 2 * k + 1), width=st.integers(1, 2**16))
 @example(lo=_Q * _Q - 400, width=400)  # seg_hi = q^2: q strikes nothing
 @example(lo=_Q * _Q - 400, width=401)  # seg_hi = q^2 + 1: q strikes its square
 @example(lo=_Q * _Q, width=1)  # one number, a base prime's square
@@ -115,6 +116,9 @@ _Q = 1019  # a base prime; its square is 1 mod 4 like every odd square
 @example(lo=10**6 + 1, width=1000)  # lo above it
 @example(lo=2 * 10**6 + 1, width=8)  # most first multiples lie past seg_hi
 @example(lo=10**9 + 1, width=2**16)  # base primes to 31,607: strides >= 2^13 in rounds
+@example(lo=3, width=100)  # class 3 mod 4, from the base prime 3 itself
+@example(lo=_Q * (_Q + 2) - 400, width=401)  # class 3 mod 4: q strikes q(q + 2) first
+@example(lo=10**9 + 3, width=2**16)  # class 3 mod 4, strides >= 2^13 in rounds
 def test_segment_1mod4_matches_oracle(lo, width):
     # the oracle, not small_primes(hi - 1): near 10^9 that would be a 500 MB sieve
     hi = lo + width
